@@ -29,6 +29,7 @@ from .hilbert import (
     tensor,
 )
 from .infotheory import (
+    _neg_xlogx,
     mutual_information,
     mutual_information_schmidt,
     von_neumann_entropy,
@@ -242,14 +243,6 @@ def apply_nonlocal(
     return extended, delta_mi
 
 
-def _entropy_terms(p: np.ndarray) -> float:
-    """-sum p log p over the positive entries of an unnormalized block."""
-    pos = p[p > 1e-300]
-    if pos.size == 0:
-        return 0.0
-    return float(-(pos * np.log(pos)).sum())
-
-
 @dataclass(frozen=True)
 class BranchMixture:
     """Joint two-sided state after branch decoherence.
@@ -315,18 +308,18 @@ class BranchMixture:
     def joint_entropy(self, base: float | None = None) -> float:
         """S(joint) in closed form, skipping the explicit product spectrum."""
         p_ret, p_deph, p_loc = self._blocks()
-        s = _entropy_terms(np.array([p_ret])) + _entropy_terms(p_deph)
+        s = _neg_xlogx(np.array([p_ret])) + _neg_xlogx(p_deph)
         p_l = float(p_loc.sum())
         if p_loc.size and p_l > 0.0:
             q = p_loc / p_l
             # -sum_{nm} P q_n q_m log(P q_n q_m) = -P log P + 2 P H(q)
-            s += -p_l * math.log(p_l) + 2.0 * p_l * _entropy_terms(q)
+            s += -p_l * math.log(p_l) + 2.0 * p_l * _neg_xlogx(q)
         if base is not None:
             s /= math.log(base)
         return s
 
     def mutual_info(self, base: float | None = None) -> float:
-        marg = _entropy_terms(self.source.probabilities())
+        marg = _neg_xlogx(self.source.probabilities())
         mi = 2.0 * marg - self.joint_entropy()
         mi = max(mi, 0.0)
         if base is not None:
@@ -381,7 +374,7 @@ class ScheduleStep:
     channel: str
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "modes", frozenset(int(n) for n in self.modes))
+        object.__setattr__(self, "modes", frozenset(map(int, self.modes)))
         if not self.modes:
             raise ValueError("a schedule step must hit at least one mode")
         if self.channel not in VALID_CHANNELS:
@@ -421,7 +414,7 @@ class DecoherenceSchedule:
             raise ValueError(f"cannot split {num_modes} modes into {num_steps} non-empty steps")
         chunks = np.array_split(np.arange(1, num_modes + 1), num_steps)
         return cls(steps=tuple(
-            ScheduleStep(modes=frozenset(int(n) for n in chunk), channel=channel)
+            ScheduleStep(modes=frozenset(chunk.tolist()), channel=channel)
             for chunk in chunks
         ))
 
@@ -443,6 +436,19 @@ class SweepPoint:
     distance: float
 
 
+def _step_indices(modes: frozenset[int], num_modes: int) -> np.ndarray:
+    """Zero-based indices of a step's modes, each checked to lie in 1..num_modes."""
+    try:
+        idx = np.fromiter(modes, dtype=np.int64, count=len(modes))
+        lo, hi = int(idx.min()), int(idx.max())
+    except OverflowError:  # a mode beyond int64 is out of range anyway
+        lo, hi = min(modes), max(modes)
+    for n in (lo, hi):
+        if n < 1 or n > num_modes:
+            raise ValueError(f"schedule hits mode {n} outside 1..{num_modes}")
+    return idx - 1
+
+
 def decoherence_sweep(
     s: SchmidtPairState,
     schedule: DecoherenceSchedule,
@@ -456,29 +462,53 @@ def decoherence_sweep(
     Distances normalize against the step-0 total, which pins the baseline
     point at distance exactly 0 and grows as decoherence eats the sum.
     Returns one point per step plus the baseline, schedule order.
+
+    O(modes + steps), one pass over the modes: no BranchMixture is built.
+    Each step's block contributes its mass and -sum p log p to running
+    totals, and the joint entropy follows in closed form (the identity of
+    BranchMixture.joint_entropy). With R the retained mass, L the
+    localized mass and H(x) = -x log x,
+
+        S_joint = H(R) + sum_dephased H(p) - H(L) + 2 sum_localized H(p),
+
+    and the momentum MI is I_0 - S_joint with I_0 = 2 H(p) the step-0 value,
+    clamped to [0, I_0]: an entropy is nonnegative, so decoherence never
+    raises MI, not even by round-off.
     """
     if spin_mi < 0.0:
         raise ValueError(f"spin_mi must be nonnegative, got {spin_mi}")
     s.require_weights("decoherence sweep")
-    for n in schedule.all_modes:
-        if n < 1 or n > s.num_modes:
-            raise ValueError(f"schedule hits mode {n} outside 1..{s.num_modes}")
+    p = s.probabilities()
+    untouched = np.ones(s.num_modes, dtype=bool)
+    blocks = []
+    for step in schedule.steps:
+        idx = _step_indices(step.modes, s.num_modes)
+        untouched[idx] = False
+        block = p[idx]
+        blocks.append((float(block.sum()), _neg_xlogx(block)))
     mom0 = mutual_information_schmidt(s)
     total0 = spin_mi + mom0
     if total0 <= 0.0:
         raise ValueError("initial total MI is zero; nothing to normalize distances against")
     points = [SweepPoint(step=0, momentum_mi=mom0, total_mi=total0,
                          distance=edge_weight(total0, total0, wf))]
-    dephased: set[int] = set()
-    localized: set[int] = set()
-    for k, step in enumerate(schedule.steps, start=1):
+    # Mass retained after each step: the never-hit modes plus every later
+    # block, summed from the back so that a tiny remainder keeps its digits
+    # (1 - hit mass would cancel them away).
+    retained = [float(p[untouched].sum())]
+    for mass, _ in reversed(blocks[1:]):
+        retained.append(retained[-1] + mass)
+    retained.reverse()
+    loc_mass = h_dephased = h_localized = 0.0
+    for k, (step, (mass, h), r) in enumerate(zip(schedule.steps, blocks, retained), start=1):
         if step.channel == "dephase":
-            dephased |= step.modes
+            h_dephased += h
         else:
-            localized |= step.modes
-        mix = BranchMixture(source=s, dephased=frozenset(dephased),
-                            localized=frozenset(localized))
-        mom = mix.mutual_info()
+            loc_mass += mass
+            h_localized += h
+        s_joint = (_neg_xlogx(np.array([r])) + h_dephased
+                   - _neg_xlogx(np.array([loc_mass])) + 2.0 * h_localized)
+        mom = max(mom0 - max(s_joint, 0.0), 0.0)
         total = spin_mi + mom
         points.append(SweepPoint(step=k, momentum_mi=mom, total_mi=total,
                                  distance=edge_weight(total, total0, wf)))

@@ -16,7 +16,8 @@ import numpy as np
 
 from .hilbert import DensityMatrix, PureState, SchmidtPairState, partial_trace, reduced_density
 
-# Spectrum entries below this are treated as exact zeros.
+# Eigensolver spectrum entries below this are treated as exact zeros.
+# Exact probabilities (Schmidt weights and their blocks) are never cut.
 EIG_CLAMP = 1e-12
 
 # Most negative eigenvalue / probability tolerated before declaring the
@@ -30,6 +31,19 @@ def _base_factor(base: float | None) -> float:
     if base <= 1.0:
         raise ValueError(f"log base must be > 1, got {base}")
     return math.log(base)
+
+
+def _neg_xlogx(p: np.ndarray) -> float:
+    """-sum p log p over the positive entries of p (0 log 0 = 0).
+
+    The one entropy kernel. Exact probabilities go in as they are, so only
+    exact zeros drop out; eigensolver output is cut at EIG_CLAMP by the
+    caller first.
+    """
+    pos = p[p > 0.0]
+    if pos.size == 0:
+        return 0.0
+    return float(-(pos * np.log(pos)).sum())
 
 
 def entropy_from_spectrum(spectrum: Iterable[float], base: float | None = None) -> float:
@@ -47,8 +61,7 @@ def entropy_from_spectrum(spectrum: Iterable[float], base: float | None = None) 
     total = p.sum()
     if abs(total - 1.0) > 1e-8:
         raise ValueError(f"spectrum must sum to 1, got {total!r}")
-    pos = p[p > EIG_CLAMP]
-    s = float(-(pos * np.log(pos)).sum())
+    s = _neg_xlogx(p[p > EIG_CLAMP])
     return max(s, 0.0) / _base_factor(base)
 
 
@@ -106,13 +119,14 @@ def mutual_information_schmidt(s: SchmidtPairState, base: float | None = None) -
     Both marginals are diagonal with entries |w_n|^2 and the joint state is
     pure, so I = 2 H(|w|^2). A symbolic flat state gives 2 log(num_modes)
     without allocating anything; math.log takes the integer directly, so
-    mode counts far beyond float range are fine.
+    mode counts far beyond float range are fine. The probabilities are
+    exact, so no eigenvalue clamp applies: a mode with p = 1e-13 counts.
     """
     if s.is_symbolic:
         return 2.0 * math.log(s.num_modes) / _base_factor(base)
     if s.num_modes == 1:
         return 0.0
-    return 2.0 * entropy_from_spectrum(s.probabilities(), base=base)
+    return 2.0 * (max(_neg_xlogx(s.probabilities()), 0.0) / _base_factor(base))
 
 
 def pure_state_mutual_information(

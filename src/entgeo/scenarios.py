@@ -243,6 +243,10 @@ def physical_scales(
             f"cap momentum {p_cap} sits below the IR floor {p_ir}; no modes fit"
         )
     n_modes = p_cap / p_ir
+    if not math.isfinite(n_modes):
+        raise ValueError(
+            f"mode count p_cap / p_ir = {p_cap} / {p_ir} overflows the float range"
+        )
     compton_ceiling = l_ir * mass * c / hbar
     return PhysicalScales(
         l_app=l_app,

@@ -479,3 +479,129 @@ class TestDecoherenceSweep:
                                    spin_mi=LOG2, wf=neg_log_weight())
         for prev, cur in zip(points, points[1:]):
             assert cur.total_mi <= prev.total_mi + 1e-10
+
+    @pytest.mark.parametrize("bad_mode", [0, 5, 2**63])
+    def test_rejects_schedule_outside_mode_range(self, bad_mode):
+        sched = DecoherenceSchedule((
+            ScheduleStep(frozenset({1, 2}), "dephase"),
+            ScheduleStep(frozenset({3, bad_mode}), "localize"),
+        ))
+        with pytest.raises(ValueError, match="outside"):
+            decoherence_sweep(flat(4), sched, spin_mi=0.0, wf=neg_log_weight())
+
+    def test_builds_no_branch_mixture(self, monkeypatch):
+        # the sweep sums blocks in one pass; a per-step rebuild must not return
+        def refuse(self):
+            raise AssertionError("decoherence_sweep built a BranchMixture")
+
+        monkeypatch.setattr(BranchMixture, "__post_init__", refuse)
+        points = decoherence_sweep(
+            flat(64), DecoherenceSchedule.ir_first(64, 8, "localize"),
+            spin_mi=2 * LOG2, wf=neg_log_weight(),
+        )
+        assert len(points) == 9
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=60)
+    def test_every_point_matches_branch_mixture(self, seed):
+        # random weights with exact zeros, mixed channels, scattered modes
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 25))
+        w = random_weights(rng, m)
+        w[rng.random(m) < 0.25] = 0.0
+        if not w.any():
+            w[int(rng.integers(m))] = 1.0
+        s = SchmidtPairState.from_weights(w / np.linalg.norm(w))
+        order = [int(x) for x in rng.permutation(m)[: int(rng.integers(1, m + 1))] + 1]
+        cuts = sorted(int(c) for c in rng.integers(0, len(order) + 1, size=3))
+        chunks = [c for c in np.split(np.array(order), cuts) if c.size]
+        steps = tuple(ScheduleStep(frozenset(c.tolist()), str(rng.choice(["dephase", "localize"])))
+                      for c in chunks)
+        points = decoherence_sweep(s, DecoherenceSchedule(steps), spin_mi=LOG2,
+                                   wf=neg_log_weight())
+        assert len(points) == len(steps) + 1
+        dephased: set[int] = set()
+        localized: set[int] = set()
+        for k, pt in enumerate(points):
+            if k:
+                step = steps[k - 1]
+                (dephased if step.channel == "dephase" else localized).update(step.modes)
+            ref = BranchMixture(s, frozenset(dephased), frozenset(localized)).mutual_info()
+            assert abs(pt.momentum_mi - ref) < 1e-10
+            assert abs(pt.total_mi - pt.momentum_mi - LOG2) < 1e-12
+
+
+def tiny_tail_state() -> SchmidtPairState:
+    """2001 modes: p = 5e-13 on modes 2..2001, the rest of the mass on mode 1."""
+    p = np.full(2001, 5e-13)
+    p[0] = 1.0 - p[1:].sum()
+    return SchmidtPairState.from_weights(np.sqrt(p))
+
+
+class TestTinyProbabilities:
+    """Exact probabilities below the eigenvalue clamp still carry entropy."""
+
+    def test_tail_counts_in_the_baseline(self):
+        s = tiny_tail_state()
+        p = s.probabilities()
+        exact = -2.0 * math.fsum((p * np.log(p)).tolist())
+        assert abs(mutual_information_schmidt(s) - exact) <= 1e-12 * exact
+
+    def test_decoherence_never_raises_mi(self):
+        s = tiny_tail_state()
+        base = mutual_information_schmidt(s)
+        _, deph = dephase_modes(s, [2001])
+        _, loc = localize_modes(s, [2001])
+        assert deph <= base
+        assert loc <= deph
+        points = decoherence_sweep(
+            s, DecoherenceSchedule((ScheduleStep(frozenset({2001}), "dephase"),)),
+            spin_mi=0.0, wf=neg_log_weight(),
+        )
+        assert abs(points[1].momentum_mi - deph) <= 1e-12 * deph
+        assert points[1].distance >= 0.0
+
+    def test_tiny_retained_mass_keeps_its_digits(self):
+        # localizing the dominant mode leaves a retained mass of 1e-18,
+        # which 1 - (hit mass) would round to zero
+        s = SchmidtPairState.from_weights([1.0, 1e-9])
+        points = decoherence_sweep(
+            s, DecoherenceSchedule((ScheduleStep(frozenset({1}), "localize"),)),
+            spin_mi=0.0, wf=neg_log_weight(),
+        )
+        ref = BranchMixture(s, frozenset(), frozenset({1})).mutual_info()
+        assert abs(points[1].momentum_mi - ref) <= 1e-12 * ref
+        assert abs(points[1].distance - LOG2) < 1e-9
+
+    def test_round_off_cannot_raise_mi(self):
+        # |w| = 1 + 5e-11 passes the normalization check; p = 1 + 1e-10 then
+        # gives a joint entropy of -1e-10, which must not lift MI above I_0
+        s = SchmidtPairState.from_weights([1.0 + 5e-11, 0.0])
+        points = decoherence_sweep(
+            s, DecoherenceSchedule((ScheduleStep(frozenset({1}), "dephase"),)),
+            spin_mi=1.0, wf=neg_log_weight(),
+        )
+        assert points[1].total_mi <= points[0].total_mi
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=60)
+    def test_heavy_tailed_weights_keep_the_ordering(self, seed):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(2, 40))
+        p = 10.0 ** -rng.uniform(0.0, 16.0, m)
+        p[rng.random(m) < 0.1] = 0.0
+        p[0] = 1.0
+        s = SchmidtPairState.from_weights(np.sqrt(p / p.sum()))
+        modes = [int(n) for n in rng.permutation(m)[: int(rng.integers(1, m + 1))] + 1]
+        base = mutual_information_schmidt(s)
+        _, deph = dephase_modes(s, modes)
+        _, loc = localize_modes(s, modes)
+        assert deph <= base + 1e-12
+        assert loc <= deph + 1e-12
+        half = len(modes) // 2
+        steps = tuple(ScheduleStep(frozenset(chunk), channel) for chunk, channel in
+                      ((modes[:half], "localize"), (modes[half:], "dephase")) if chunk)
+        for spin_mi in (0.0, LOG2):
+            if spin_mi + base > 0.0:
+                decoherence_sweep(s, DecoherenceSchedule(steps), spin_mi=spin_mi,
+                                  wf=neg_log_weight())

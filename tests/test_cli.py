@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,7 @@ from entgeo.geometry import build_info_graph, neg_log_weight
 from entgeo.scenarios import bell_with_environment
 
 LOG2 = math.log(2.0)
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -125,6 +127,17 @@ class TestSpinMomentum:
         assert code == 2
         assert "n-modes" in err
 
+    @pytest.mark.parametrize("flags", [
+        ("--l-app", "1e-300", "--mass", "1", "--lambda-cc", "1e-300"),
+        ("--l-app", "1", "--mass", "1e300", "--momentum-cap", "compton"),
+    ])
+    def test_overflowing_mode_count_is_a_config_error(self, capsys, flags):
+        code, out, err = run_cli(capsys, "run", "spin-momentum", *flags)
+        assert code == 2
+        assert out == ""
+        assert "overflows" in err
+        assert "Traceback" not in err
+
 
 class TestMomentumSweep:
     def test_default_walk(self, capsys):
@@ -171,6 +184,24 @@ class TestMomentumSweep:
         code, _, err = run_cli(capsys, "run", "momentum-sweep", "--channel", "erase")
         assert code == 2
         assert "channel" in err
+
+    # Pinned bytes of committed sweep configurations. JSON (full repr) and
+    # --spin-mi 0 (whose fully localized row is -log of a round-off residual
+    # or inf) are left out: their last bits depend on summation order.
+    @pytest.mark.parametrize("name,flags", [
+        ("momentum-sweep_seed11.csv", ("--seed", "11")),
+        ("momentum-sweep_dephase_16x4.csv",
+         ("--channel", "dephase", "--n-modes", "16", "--steps", "4")),
+        ("momentum-sweep_dephase_65536x64.csv",
+         ("--channel", "dephase", "--n-modes", "65536", "--steps", "64")),
+        ("momentum-sweep_localize_65536x64.csv",
+         ("--channel", "localize", "--n-modes", "65536", "--steps", "64")),
+        ("momentum-sweep_localize_777x777.csv", ("--n-modes", "777", "--steps", "777")),
+    ])
+    def test_matches_golden_csv(self, capsys, name, flags):
+        code, out, _ = run_cli(capsys, "run", "momentum-sweep", *flags)
+        assert code == 0
+        assert out.encode() == (GOLDEN / name).read_bytes()
 
 
 class TestGraphReconstruct:

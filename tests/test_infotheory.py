@@ -181,6 +181,20 @@ class TestSchmidtMutualInformation:
         )
         assert abs(closed - dense) < 1e-8
 
+    @given(seed=st.integers(0, 10_000), m=st.integers(2, 200))
+    @settings(max_examples=30)
+    def test_matches_spectrum_entropy_bit_for_bit_above_the_clamp(self, seed, m):
+        # exact probabilities skip the eigenvalue clamp, which only matters
+        # for entries in (0, EIG_CLAMP]; elsewhere nothing may move
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        s = SchmidtPairState.from_weights(w / np.linalg.norm(w))
+        p = s.probabilities()
+        assert p.min() > 1e-12
+        for base in (None, 2.0):
+            assert mutual_information_schmidt(s, base=base) == \
+                2.0 * entropy_from_spectrum(p, base=base)
+
     def test_pairing_does_not_change_mi(self):
         w = np.array([0.6, 0.0, 0.8], dtype=complex)
         canonical = SchmidtPairState.from_weights(w)
