@@ -30,6 +30,7 @@ from .hilbert import (
 )
 from .infotheory import (
     _neg_xlogx,
+    _split_pair,
     mutual_information,
     mutual_information_schmidt,
     von_neumann_entropy,
@@ -152,20 +153,6 @@ def apply_unitary(psi: PureState, u: np.ndarray, labels: Sequence[str]) -> PureS
     return PureState(psi.tps, t.reshape(-1))
 
 
-def _split_sides(
-    psi_labels: Sequence[str], split: tuple[Sequence[str], Sequence[str]]
-) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    side_a = (split[0],) if isinstance(split[0], str) else tuple(split[0])
-    side_b = (split[1],) if isinstance(split[1], str) else tuple(split[1])
-    sa, sb = set(side_a), set(side_b)
-    if not side_a or not side_b or (sa & sb) or (sa | sb) != set(psi_labels) \
-            or len(sa) + len(sb) != len(psi_labels):
-        raise ValueError(
-            f"split {side_a} | {side_b} must partition the factors {tuple(psi_labels)}"
-        )
-    return side_a, side_b
-
-
 def apply_local(
     psi: PureState,
     pert: LocalPerturbation,
@@ -180,7 +167,7 @@ def apply_local(
     information shifts by exactly twice the A-side change; that identity
     is verified numerically within atol on every call.
     """
-    side_a, side_b = _split_sides(psi.labels, split)
+    side_a, side_b = _split_pair(psi.labels, split)
     outside = set(pert.labels) - set(psi.labels)
     if outside:
         raise ValueError(f"perturbation touches unknown factors {sorted(outside)}")
@@ -215,7 +202,7 @@ def apply_nonlocal(
     that side, so the cross-split mutual information cannot grow. A
     positive delta beyond atol raises.
     """
-    side_a, side_b = _split_sides(psi.labels, split)
+    side_a, side_b = _split_pair(psi.labels, split)
     collision = set(pert.env_labels) & set(psi.labels)
     if collision:
         raise ValueError(f"environment labels collide with system labels {sorted(collision)}")

@@ -9,15 +9,15 @@ zero distance between distinct, perfectly correlated vertices is allowed.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .hilbert import PureState, reduced_density
-from .infotheory import mutual_information
+from .hilbert import PureState, _check_density_stack, _contract_pure
+from .infotheory import _matrix_entropies
+from .infotheory import mutual_information  # noqa: F401  (re-exported)
 
 # Pairwise MI below this is treated as no edge at all.
 MI_EDGE_FLOOR = 1e-12
@@ -75,38 +75,74 @@ class InfoGraph:
         """Edge MI between a and b in either order, None if absent."""
         return self.edges.get(_canonical_pair(a, b))
 
-    def neighbors(self, v: str) -> list[tuple[str, float]]:
-        out = []
-        for (a, b), mi in self.edges.items():
-            if a == v:
-                out.append((b, mi))
-            elif b == v:
-                out.append((a, mi))
-        return out
-
 
 def build_info_graph(psi: PureState, mi_floor: float = MI_EDGE_FLOOR) -> InfoGraph:
     """Pairwise-MI graph of a multi-factor pure state.
 
-    Computes I(p:q) from the two-factor reduced density operator for every
-    unordered pair of factors and keeps pairs at or above the floor.
+    Computes I(p:q) = S(p) + S(q) - S(pq) for every unordered pair of
+    factors and keeps pairs at or above the floor. Pairs are grouped by
+    their dimensions (d_p, d_q): each group's two-factor reduced density
+    matrices are contracted one pair at a time into a preallocated stack,
+    validated as a stack, and the joint matrices and both marginals of
+    every pair go through one stacked eigensolve each. The arithmetic is
+    that of reduced_density, partial_trace and mutual_information, so
+    every edge carries the same bits as the per-pair path would.
     Raises NoCorrelationsError when nothing survives (product states).
     """
     labels = psi.labels
     if len(labels) < 2:
         raise ValueError("need at least 2 factors to build a graph")
+    dims = psi.tps.dims
+    n = len(labels)
+    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            groups.setdefault((dims[i], dims[j]), []).append((i, j))
+    t = psi.amplitudes.reshape(dims)
+    mi_of: dict[tuple[int, int], float] = {}
+    for (dp, dq), pairs in groups.items():
+        if n == 2:
+            # the whole state: |psi><psi| as density_of builds it
+            joint = np.outer(psi.amplitudes, psi.amplitudes.conj())[None]
+        else:
+            joint = _pair_stack(t, pairs, dp * dq)
+        _check_density_stack(joint)
+        # partial_trace's contractions, one leading stack axis further in
+        split = joint.reshape(len(pairs), dp, dq, dp, dq)
+        side_p = np.trace(split, axis1=2, axis2=4)
+        side_q = np.trace(split, axis1=1, axis2=3)
+        _check_density_stack(side_p)
+        _check_density_stack(side_q)
+        s_p = _matrix_entropies(side_p)
+        s_q = _matrix_entropies(side_q)
+        s_pq = _matrix_entropies(joint)
+        for k, pair in enumerate(pairs):
+            mi_of[pair] = s_p[k] + s_q[k] - s_pq[k]
     edges: dict[tuple[str, str], float] = {}
-    for i, p in enumerate(labels):
-        for q in labels[i + 1 :]:
-            rho_pq = reduced_density(psi, (p, q))
-            mi = mutual_information(rho_pq, ((p,), (q,)))
-            if mi >= mi_floor:
-                edges[_canonical_pair(p, q)] = mi
+    for (i, j), mi in sorted(mi_of.items()):
+        if mi < -1e-9:
+            raise ArithmeticError(f"mutual information came out negative: {mi}")
+        if mi >= mi_floor:
+            edges[_canonical_pair(labels[i], labels[j])] = mi
     if not edges:
         raise NoCorrelationsError(
             f"no pairwise mutual information above {mi_floor} among {labels}"
         )
     return InfoGraph(vertices=labels, edges=edges)
+
+
+def _pair_stack(t: np.ndarray, pairs: list[tuple[int, int]], d: int) -> np.ndarray:
+    """(P, d, d) stack of the two-factor reductions of amplitude tensor t.
+
+    Every pair reuses one work buffer for its transposed copy, which is
+    freed on return, before the caller's checks allocate their own.
+    """
+    joint = np.empty((len(pairs), d, d), dtype=complex)
+    work = np.empty((2, d, t.size // d), dtype=complex)
+    for k, (i, j) in enumerate(pairs):
+        rest = [r for r in range(t.ndim) if r != i and r != j]
+        joint[k] = _contract_pure(t, [i, j], rest, work)
+    return joint
 
 
 @dataclass(frozen=True)
@@ -189,29 +225,60 @@ def edge_weight(mi: float, ref_mi: float, wf: WeightFunction) -> float:
     return wf(x) + 0.0
 
 
-def _dijkstra(graph: InfoGraph, wf: WeightFunction, source: str,
-              ref_mi: float) -> dict[str, float]:
-    """Shortest path lengths from source under edge_weight; inf if unreachable."""
-    adjacency: dict[str, list[tuple[str, float]]] = {v: [] for v in graph.vertices}
+def _weight_matrix(graph: InfoGraph, wf: WeightFunction, ref_mi: float) -> np.ndarray:
+    """V x V edge lengths in vertex order, inf where there is no edge.
+
+    edge_weight runs once per edge, in edge order, so the first bad edge
+    in that order is the one that raises. A length that is NaN or negative
+    breaks the weight profile's contract and makes shortest paths
+    meaningless; it raises too.
+    """
+    index = {v: k for k, v in enumerate(graph.vertices)}
+    w = np.full((len(index), len(index)), math.inf)
     for (a, b), mi in graph.edges.items():
-        w = edge_weight(mi, ref_mi, wf)
-        adjacency[a].append((b, w))
-        adjacency[b].append((a, w))
-    dist = {v: math.inf for v in graph.vertices}
-    dist[source] = 0.0
-    heap: list[tuple[float, str]] = [(0.0, source)]
-    visited: set[str] = set()
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u in visited:
-            continue
-        visited.add(u)
-        for v, w in adjacency[u]:
-            nd = d + w
-            if nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return dist
+        length = edge_weight(mi, ref_mi, wf)
+        if not length >= 0.0:
+            raise ValueError(f"edge ({a!r}, {b!r}) has length {length}; lengths must be >= 0")
+        w[index[a], index[b]] = w[index[b], index[a]] = length
+    return w
+
+
+def _shortest_paths(w: np.ndarray, sources: Sequence[int]) -> np.ndarray:
+    """Shortest path lengths from each source (one row each) under lengths w.
+
+    Min-plus relaxation to a fixed point: each round extends every row by
+    one edge, d[s, v] = min(d[s, v], min_u d[s, u] + w[u, v]). A path's
+    length is thus summed edge by edge from its source, the order in which
+    Dijkstra sums it, and since rounding is monotone the fixed point is the
+    same float Dijkstra returns. Floyd-Warshall's d[i, k] + d[k, j] joins
+    two partial sums instead and can land an ulp away. With lengths >= 0
+    no shortest path needs more than V - 1 edges, so V rounds suffice.
+    Rows are relaxed in blocks (see _row_blocks), so the rows x V x V sums
+    of a round never take more than O(V^2 + _BLOCK_ELEMS) memory.
+    """
+    n = w.shape[0]
+    d = np.full((len(sources), n), math.inf)
+    d[np.arange(len(sources)), sources] = 0.0
+    for rows in _row_blocks(len(sources), n):
+        block = d[rows]
+        for _ in range(n):
+            nxt = np.minimum(block, (block[:, :, None] + w[None, :, :]).min(axis=1))
+            if np.array_equal(nxt, block):
+                break
+            block = nxt
+        d[rows] = block
+    return d
+
+
+# Cap on the elements of one b x V x V intermediate in _shortest_paths and
+# metric_check (2 MiB of floats); b shrinks as V grows, down to one row.
+_BLOCK_ELEMS = 1 << 18
+
+
+def _row_blocks(rows: int, n: int) -> list[slice]:
+    """Slices over rows, as many per slice as fit rows x n x n in _BLOCK_ELEMS."""
+    step = max(1, _BLOCK_ELEMS // max(1, n * n))
+    return [slice(lo, lo + step) for lo in range(0, rows, step)]
 
 
 def emergent_distance(graph: InfoGraph, wf: WeightFunction, p: str, q: str,
@@ -227,7 +294,8 @@ def emergent_distance(graph: InfoGraph, wf: WeightFunction, p: str, q: str,
     if p == q:
         return 0.0
     ref = graph.i0 if ref_mi is None else ref_mi
-    return _dijkstra(graph, wf, p, ref)[q]
+    row = _shortest_paths(_weight_matrix(graph, wf, ref), [graph.vertices.index(p)])[0]
+    return float(row[graph.vertices.index(q)])
 
 
 @dataclass(frozen=True)
@@ -265,14 +333,20 @@ class EmergentMetric:
 
 def emergent_metric(graph: InfoGraph, wf: WeightFunction,
                     ref_mi: float | None = None) -> EmergentMetric:
-    """All-pairs shortest-path distances as an EmergentMetric."""
+    """All-pairs shortest-path distances as an EmergentMetric.
+
+    Every edge length is evaluated once into a V x V matrix and all rows
+    are relaxed together by min-plus steps (see _shortest_paths), which
+    matches Dijkstra from each source bit for bit; Floyd-Warshall would
+    not. The pair (p, q) with p before q in vertex order keeps the value
+    measured from p.
+    """
     ref = graph.i0 if ref_mi is None else ref_mi
     verts = graph.vertices
-    table: dict[tuple[str, str], float] = {}
-    for i, src in enumerate(verts):
-        dist = _dijkstra(graph, wf, src, ref)
-        for dst in verts[i + 1 :]:
-            table[_canonical_pair(src, dst)] = dist[dst]
+    d = _shortest_paths(_weight_matrix(graph, wf, ref), range(len(verts)))
+    rows, cols = np.triu_indices(len(verts), 1)
+    table = {(verts[i], verts[j]): dist
+             for i, j, dist in zip(rows.tolist(), cols.tolist(), d[rows, cols].tolist())}
     return EmergentMetric(vertices=verts, table=table)
 
 
@@ -301,64 +375,64 @@ def metric_check(
     A raw mapping may carry directed pairs (p, q) and (q, p) separately,
     which is how a hand-built asymmetric table gets caught. Missing reverse
     entries mirror the forward value. Triangle inequality is checked on all
-    ordered triples with finite legs; inf legs assert nothing.
+    ordered triples with finite legs; inf legs assert nothing. A NaN or
+    -inf distance counts as an infinite nonnegativity violation (a NaN on
+    the diagonal as an infinite diagonal one). All checks broadcast over a
+    V x V distance matrix; the triangle check takes the p rows in blocks
+    (see _row_blocks), so its V x V x V terms stay within O(V^2 +
+    _BLOCK_ELEMS) memory.
     """
-    if isinstance(metric, EmergentMetric):
-        verts = list(metric.vertices)
-        lookup = metric.distance
-    else:
-        table = {(a, b): float(d) for (a, b), d in dict(metric).items()}
-        vs: set[str] = set()
-        for a, b in table:
-            vs.update((a, b))
-        verts = sorted(vs)
-
-        def lookup(p: str, q: str) -> float:
-            if p == q:
-                return table.get((p, q), 0.0)
-            if (p, q) in table:
-                return table[(p, q)]
-            if (q, p) in table:
-                return table[(q, p)]
-            raise KeyError(f"no distance recorded for ({p!r}, {q!r})")
-
-    nonneg = 0.0
-    symm = 0.0
-    tri = 0.0
-    diag = 0.0
-    for p in verts:
-        diag = max(diag, abs(lookup(p, p)))
-        for q in verts:
-            if p == q:
-                continue
-            d_pq = lookup(p, q)
-            if not math.isinf(d_pq):
-                nonneg = max(nonneg, -d_pq)
-            symm = max(symm, _finite_gap(d_pq, lookup(q, p)))
-    for p in verts:
-        for q in verts:
-            if q == p:
-                continue
-            d_pq = lookup(p, q)
-            if math.isinf(d_pq):
-                continue
-            for r in verts:
-                if r in (p, q):
-                    continue
-                leg = lookup(p, r) + lookup(r, q)
-                if math.isinf(leg):
-                    continue
-                tri = max(tri, d_pq - leg)
-    return MetricReport(nonnegativity=nonneg, symmetry=symm, triangle=tri,
-                        diagonal=diag, atol=atol)
+    d = _table_matrix(metric.table if isinstance(metric, EmergentMetric) else metric)
+    n = d.shape[0]
+    off = ~np.eye(n, dtype=bool)
+    infinite = np.isinf(d)
+    with np.errstate(invalid="ignore"):
+        neg = -d[off]
+        neg[np.isnan(neg)] = math.inf
+        diag = np.abs(np.diagonal(d))
+        diag[np.isnan(diag)] = math.inf
+        gap = np.abs(d - d.T)
+        gap[infinite & infinite.T] = 0.0
+        gap[infinite ^ infinite.T] = math.inf
+    triangle = 0.0
+    for rows in _row_blocks(n, n):
+        with np.errstate(invalid="ignore"):
+            # tri[p, r, q] = d(p, q) - (d(p, r) + d(r, q)), p in this block
+            legs = d[rows, :, None] + d[None, :, :]
+            tri = d[rows, None, :] - legs
+        checked = (off[rows, :, None] & off[rows, None, :] & off[None, :, :]
+                   & ~infinite[rows, None, :] & ~np.isinf(legs))
+        triangle = max(triangle, _worst(tri[checked]))
+    return MetricReport(nonnegativity=_worst(neg), symmetry=_worst(gap[off]),
+                        triangle=triangle, diagonal=_worst(diag), atol=atol)
 
 
-def _finite_gap(a: float, b: float) -> float:
-    if math.isinf(a) and math.isinf(b):
-        return 0.0
-    if math.isinf(a) or math.isinf(b):
-        return math.inf
-    return abs(a - b)
+def _table_matrix(metric: Mapping[tuple[str, str], float]) -> np.ndarray:
+    """Distance matrix of a raw table over its sorted labels.
+
+    (p, q) reads the (p, q) entry, else the (q, p) one; a missing diagonal
+    entry reads 0.0 and a pair missing both ways raises KeyError.
+    """
+    table = {(a, b): float(d) for (a, b), d in dict(metric).items()}
+    verts = sorted({v for pair in table for v in pair})
+    index = {v: k for k, v in enumerate(verts)}
+    d = np.zeros((len(verts), len(verts)))
+    have = np.zeros(d.shape, dtype=bool)
+    for (a, b), dist in table.items():
+        d[index[a], index[b]] = dist
+        have[index[a], index[b]] = True
+    missing = ~(have | have.T)
+    np.fill_diagonal(missing, False)
+    if missing.any():
+        i, j = np.argwhere(missing)[0]
+        raise KeyError(f"no distance recorded for ({verts[i]!r}, {verts[j]!r})")
+    return np.where(have, d, d.T)
+
+
+def _worst(violations: np.ndarray) -> float:
+    """Largest positive entry, NaN entries skipped; 0.0 when there is none."""
+    hits = violations[violations > 0.0]
+    return float(hits.max()) if hits.size else 0.0
 
 
 def edge_records(graph: InfoGraph, wf: WeightFunction,

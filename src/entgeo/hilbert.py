@@ -130,6 +130,23 @@ class PureState:
         return self.tps.labels
 
 
+def _check_density_stack(mats: np.ndarray) -> None:
+    """Hermiticity and unit-trace checks on a (k, d, d) stack of matrices.
+
+    The one structural check behind DensityMatrix. Both conditions are
+    evaluated for the whole stack at once, then read matrix by matrix: the
+    first failing matrix raises with the constructor's message, hermiticity
+    before trace.
+    """
+    herm_err = np.maximum.reduce(np.abs(mats - mats.conj().swapaxes(1, 2)), axis=(1, 2))
+    traces = mats.trace(axis1=1, axis2=2)
+    for k, (err, tr) in enumerate(zip(herm_err.tolist(), traces.tolist())):
+        if err > ATOL_STRUCT:
+            raise ValueError(f"matrix not hermitian: max |rho - rho^dag| = {herm_err[k]}")
+        if abs(tr - 1.0) > ATOL_STRUCT:
+            raise ValueError(f"matrix trace must be 1, got {traces[k]}")
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Density operator over an ordered tuple of labeled factors.
@@ -154,12 +171,7 @@ class DensityMatrix:
         mat = np.array(self.matrix, dtype=complex, copy=True)
         if mat.shape != (d, d):
             raise ValueError(f"matrix must be {d}x{d} for factors {labels}, got {mat.shape}")
-        herm_err = np.abs(mat - mat.conj().T).max()
-        if herm_err > ATOL_STRUCT:
-            raise ValueError(f"matrix not hermitian: max |rho - rho^dag| = {herm_err}")
-        tr = mat.trace()
-        if abs(tr - 1.0) > ATOL_STRUCT:
-            raise ValueError(f"matrix trace must be 1, got {tr}")
+        _check_density_stack(mat[None])
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
@@ -256,16 +268,31 @@ def reduced_density(psi: PureState, keep: Iterable[str]) -> DensityMatrix:
     dims = psi.tps.dims
     if not dropped:
         return density_of(psi)
-    t = psi.amplitudes.reshape(dims)
-    t = np.transpose(t, kept + dropped)
-    dk = math.prod(dims[i] for i in kept)
-    dd = math.prod(dims[i] for i in dropped)
-    m = t.reshape(dk, dd)
-    mat = m @ m.conj().T
-    # enforce exact hermiticity against rounding in the contraction
-    mat = 0.5 * (mat + mat.conj().T)
+    mat = _contract_pure(psi.amplitudes.reshape(dims), kept, dropped)
     kept_factors = tuple(psi.tps.factors[i] for i in kept)
     return DensityMatrix(kept_factors, mat)
+
+
+def _contract_pure(t: np.ndarray, kept: list[int], dropped: list[int],
+                   work: np.ndarray | None = None) -> np.ndarray:
+    """Reduced density matrix of the amplitude tensor t on the kept axes.
+
+    Copies t with the kept axes first into work[0], a (2, d_kept,
+    d_dropped) complex buffer, its conjugate into work[1], contracts the
+    dropped axes in one matrix product and symmetrizes the result, so it
+    is exactly hermitian. A caller contracting many subsets of one state
+    passes one work buffer for all of them; without it a fresh one is made.
+    """
+    order = kept + dropped
+    dk = math.prod(t.shape[i] for i in kept)
+    if work is None:
+        work = np.empty((2, dk, t.size // dk), dtype=complex)
+    m, m_conj = work
+    np.copyto(m.reshape([t.shape[i] for i in order]), np.transpose(t, order))
+    np.conjugate(m, out=m_conj)
+    mat = m @ m_conj.T
+    # enforce exact hermiticity against rounding in the contraction
+    return 0.5 * (mat + mat.conj().T)
 
 
 @dataclass(frozen=True)

@@ -56,21 +56,47 @@ def entropy_from_spectrum(spectrum: Iterable[float], base: float | None = None) 
                    dtype=float).reshape(-1)
     if p.size == 0:
         raise ValueError("empty spectrum")
-    if p.min() < -NEG_TOL:
-        raise ValueError(f"spectrum has negative entry {p.min()}")
-    total = p.sum()
-    if abs(total - 1.0) > 1e-8:
-        raise ValueError(f"spectrum must sum to 1, got {total!r}")
-    s = _neg_xlogx(p[p > EIG_CLAMP])
-    return max(s, 0.0) / _base_factor(base)
+    return _spectrum_entropies(p[None], base, "spectrum has negative entry")[0]
 
 
 def von_neumann_entropy(rho: DensityMatrix, base: float | None = None) -> float:
     """Von Neumann entropy -tr(rho log rho) via the eigenvalue spectrum."""
-    lam = np.linalg.eigvalsh(np.asarray(rho.matrix))
-    if lam.min() < -NEG_TOL:
-        raise ValueError(f"density matrix has negative eigenvalue {lam.min()}")
-    return entropy_from_spectrum(lam, base=base)
+    return _matrix_entropies(np.asarray(rho.matrix)[None], base)[0]
+
+
+def _matrix_entropies(mats: np.ndarray, base: float | None = None) -> list[float]:
+    """von_neumann_entropy of each matrix of a (k, d, d) stack, one eigensolve."""
+    return _spectrum_entropies(np.linalg.eigvalsh(mats), base,
+                               "density matrix has negative eigenvalue")
+
+
+def _spectrum_entropies(spectra: np.ndarray, base: float | None, negative: str) -> list[float]:
+    """Entropy of each row of a (k, n) stack of spectra.
+
+    Each entropy is summed on its own row by _neg_xlogx over the entries
+    above EIG_CLAMP; padding rows to a common length and summing the
+    stack would regroup numpy's pairwise sum and move the last bits.
+    """
+    _check_spectra(spectra, negative)
+    factor = _base_factor(base)
+    return [max(_neg_xlogx(p[p > EIG_CLAMP]), 0.0) / factor for p in spectra]
+
+
+def _check_spectra(spectra: np.ndarray, negative: str) -> None:
+    """Row checks on a (k, n) stack of spectra.
+
+    An entry below -NEG_TOL raises with the negative message, a sum off 1
+    by more than 1e-8 raises too. Both are evaluated for the whole stack
+    at once, then read row by row: the first failing row raises, the
+    negative check before the sum.
+    """
+    lows = np.minimum.reduce(spectra, axis=1)
+    totals = np.add.reduce(spectra, axis=1)
+    for k, (low, total) in enumerate(zip(lows.tolist(), totals.tolist())):
+        if low < -NEG_TOL:
+            raise ValueError(f"{negative} {lows[k]}")
+        if abs(total - 1.0) > 1e-8:
+            raise ValueError(f"spectrum must sum to 1, got {totals[k]!r}")
 
 
 def _split_pair(

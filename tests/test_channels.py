@@ -163,6 +163,12 @@ class TestApplyLocal:
         with pytest.raises(ValueError, match="partition"):
             apply_local(psi, pert, (("A",), ("B",)))
 
+    def test_rejects_split_with_overlapping_sides(self):
+        psi = haar_random_state(qubits(("A", "B", "C")), seed=1)
+        pert = LocalPerturbation(np.eye(2, dtype=complex), ("A",))
+        with pytest.raises(ValueError, match="overlap"):
+            apply_local(psi, pert, (("A", "B"), ("B", "C")))
+
     def test_perturbation_validates_unitarity(self):
         with pytest.raises(ValueError, match="unitary"):
             LocalPerturbation(np.ones((2, 2)), ("A",))

@@ -1,3 +1,4 @@
+import heapq
 import math
 
 import numpy as np
@@ -5,9 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import entgeo.hilbert
+import entgeo.infotheory
+from entgeo.channels import haar_random_state
 from entgeo.geometry import (
+    MI_EDGE_FLOOR,
     EmergentMetric,
     InfoGraph,
+    MetricReport,
     NoCorrelationsError,
     WeightFunction,
     build_info_graph,
@@ -18,7 +24,15 @@ from entgeo.geometry import (
     metric_check,
     neg_log_weight,
 )
-from entgeo.hilbert import PureState, qubits, tensor
+from entgeo.hilbert import (
+    FactorSpace,
+    PureState,
+    TensorProductStructure,
+    qubits,
+    reduced_density,
+    tensor,
+)
+from entgeo.infotheory import mutual_information
 
 LOG2 = math.log(2.0)
 BELL = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
@@ -83,11 +97,6 @@ class TestInfoGraph:
     def test_empty_graph_raises_no_correlations(self):
         with pytest.raises(NoCorrelationsError):
             InfoGraph(("P", "Q"), {})
-
-    def test_neighbors(self):
-        graph = InfoGraph(("P", "Q", "R"), {("P", "Q"): 0.3, ("P", "R"): 0.2})
-        assert sorted(graph.neighbors("P")) == [("Q", 0.3), ("R", 0.2)]
-        assert graph.neighbors("Q") == [("P", 0.3)]
 
 
 class TestWeightFunction:
@@ -211,6 +220,21 @@ class TestEmergentDistance:
         d = emergent_distance(graph, neg_log_weight(), "P", "Q", ref_mi=1.0)
         assert abs(d - LOG2) < 1e-12
 
+    def test_negative_length_raises(self):
+        # phi(1) = -1e-13 passes WeightFunction's 1e-12 spot check
+        wf = WeightFunction(phi=lambda x: -math.log(x) - 1e-13)
+        graph = InfoGraph(("P", "Q"), {("P", "Q"): 0.5})
+        with pytest.raises(ValueError, match=">= 0"):
+            emergent_metric(graph, wf)
+        with pytest.raises(ValueError, match=">= 0"):
+            emergent_distance(graph, wf, "P", "Q")
+
+    def test_nan_length_raises(self):
+        wf = WeightFunction(phi=lambda x: math.nan if 0.3 < x < 0.4 else -math.log(x))
+        graph = InfoGraph(("P", "Q", "R"), {("P", "Q"): 1.0, ("Q", "R"): 0.35})
+        with pytest.raises(ValueError, match="length nan"):
+            emergent_metric(graph, wf)
+
 
 class TestEmergentMetric:
     def test_all_pairs_present_and_symmetric(self):
@@ -265,6 +289,32 @@ class TestMetricCheck:
     def test_infinite_legs_assert_nothing(self):
         table = {("P", "Q"): math.inf, ("P", "R"): 1.0, ("R", "Q"): math.inf}
         assert metric_check(table).ok
+
+    def test_nan_and_negative_infinity_fail_a_raw_table(self):
+        for bad in (math.nan, -math.inf):
+            report = metric_check({("a", "b"): bad, ("b", "c"): 1.0, ("a", "c"): 5.0})
+            assert report.nonnegativity == math.inf
+            assert not report.ok
+
+    def test_nan_and_negative_infinity_fail_a_metric(self):
+        for bad in (math.nan, -math.inf):
+            metric = EmergentMetric(("a", "b", "c"),
+                                    {("a", "b"): bad, ("b", "c"): 1.0, ("a", "c"): 5.0})
+            report = metric_check(metric)
+            assert report.nonnegativity == math.inf
+            assert not report.ok
+
+    def test_nan_on_the_diagonal_fails(self):
+        report = metric_check({("P", "Q"): 1.0, ("P", "P"): math.nan})
+        assert report.diagonal == math.inf
+        assert not report.ok
+
+    def test_missing_pair_raises(self):
+        with pytest.raises(KeyError, match="no distance recorded for \\('P', 'R'\\)"):
+            metric_check({("P", "Q"): 1.0, ("Q", "R"): 1.0})
+
+    def test_empty_table_is_clean(self):
+        assert metric_check({}) == MetricReport(0.0, 0.0, 0.0, 0.0, 1e-9)
 
 
 class TestGraphInvariants:
@@ -329,3 +379,238 @@ class TestEdgeRecords:
         for _, _, mi, weight in rows:
             assert abs(mi - LOG2) < 1e-10
             assert weight == 0.0
+
+
+# -- the array path against per-pair references written out here ----------
+
+def reference_edges(psi: PureState) -> dict[tuple[str, str], float]:
+    """build_info_graph's edges, one reduced_density and MI call per pair."""
+    labels = psi.labels
+    edges = {}
+    for i, p in enumerate(labels):
+        for q in labels[i + 1:]:
+            mi = mutual_information(reduced_density(psi, (p, q)), ((p,), (q,)))
+            if mi >= MI_EDGE_FLOOR:
+                edges[(p, q)] = mi
+    return edges
+
+
+def reference_dijkstra(graph: InfoGraph, wf, source: str, ref: float) -> dict[str, float]:
+    adjacency = {v: [] for v in graph.vertices}
+    for (a, b), mi in graph.edges.items():
+        w = edge_weight(mi, ref, wf)
+        adjacency[a].append((b, w))
+        adjacency[b].append((a, w))
+    dist = {v: math.inf for v in graph.vertices}
+    dist[source] = 0.0
+    heap = [(0.0, source)]
+    done = set()
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u in done:
+            continue
+        done.add(u)
+        for v, w in adjacency[u]:
+            if d + w < dist[v]:
+                dist[v] = d + w
+                heapq.heappush(heap, (d + w, v))
+    return dist
+
+
+def reference_metric_check(table, atol: float = 1e-9) -> MetricReport:
+    """Triple loop over a raw table; NaN and -inf count as infinitely bad."""
+    verts = sorted({v for pair in table for v in pair})
+
+    def lookup(p, q):
+        if p == q:
+            return table.get((p, q), 0.0)
+        return table[(p, q)] if (p, q) in table else table[(q, p)]
+
+    def gap(a, b):
+        if math.isinf(a) and math.isinf(b):
+            return 0.0
+        if math.isinf(a) or math.isinf(b):
+            return math.inf
+        return abs(a - b)
+
+    nonneg = symm = tri = diag = 0.0
+    for p in verts:
+        d_pp = lookup(p, p)
+        diag = max(diag, math.inf if math.isnan(d_pp) else abs(d_pp))
+        for q in verts:
+            if q == p:
+                continue
+            d_pq = lookup(p, q)
+            if math.isnan(d_pq) or d_pq == -math.inf:
+                nonneg = math.inf
+            elif not math.isinf(d_pq):
+                nonneg = max(nonneg, -d_pq)
+            symm = max(symm, gap(d_pq, lookup(q, p)))
+            if math.isinf(d_pq):
+                continue
+            for r in verts:
+                if r in (p, q):
+                    continue
+                leg = lookup(p, r) + lookup(r, q)
+                if not math.isinf(leg):
+                    tri = max(tri, d_pq - leg)
+    return MetricReport(nonneg, symm, tri, diag, atol)
+
+
+def labeled_state(dims, seed: int) -> PureState:
+    tps = TensorProductStructure(tuple(FactorSpace(f"F{i}", d) for i, d in enumerate(dims)))
+    return haar_random_state(tps, seed)
+
+
+def block_state(n: int, seed: int) -> PureState:
+    """Product of Haar blocks over a random partition of n qubits, so every
+    pair across two blocks has exactly zero MI."""
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(n)
+    amp, order, start = np.ones(1, dtype=complex), [], 0
+    while start < n:
+        k = int(rng.integers(1, min(n - start, 4) + 1))
+        order.extend(int(q) for q in perm[start:start + k])
+        v = rng.standard_normal(2**k) + 1j * rng.standard_normal(2**k)
+        amp = np.kron(amp, v / np.linalg.norm(v))
+        start += k
+    amp = np.transpose(amp.reshape((2,) * n), np.argsort(order)).reshape(-1)
+    return PureState(qubits(tuple(f"Q{i}" for i in range(n))), amp)
+
+
+def random_graph(seed: int) -> InfoGraph:
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 10))
+    verts = tuple(f"V{i}" for i in range(n))
+    density = rng.uniform(0.2, 1.0)
+    edges = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                if rng.random() < 0.3:
+                    # a few repeated values make for tied paths
+                    edges[(verts[i], verts[j])] = float(rng.choice([0.1, 0.25, 0.5]))
+                else:
+                    edges[(verts[i], verts[j])] = float(10 ** rng.uniform(-8, 0))
+    if not edges:
+        edges[(verts[0], verts[-1])] = 0.5
+    return InfoGraph(verts, edges)
+
+
+PROFILES = (
+    neg_log_weight(),
+    neg_log_weight(3.7),
+    WeightFunction.from_table([0.01, 0.2, 0.5, 1.0], [4.0, 2.0, 0.7, 0.0]),
+)
+
+
+def assert_same_graph(psi: PureState) -> None:
+    expected = reference_edges(psi)
+    if not expected:
+        with pytest.raises(NoCorrelationsError):
+            build_info_graph(psi)
+        return
+    assert build_info_graph(psi).edges == expected
+
+
+class TestArrayPathMatchesPerPairPath:
+    @given(dims=st.lists(st.integers(2, 4), min_size=2, max_size=5), seed=st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_build_matches_per_pair_mutual_information(self, dims, seed):
+        if math.prod(dims) > 1024:
+            dims = dims[:3]
+        assert_same_graph(labeled_state(dims, seed))
+
+    @given(n=st.integers(2, 9), seed=st.integers(0, 10_000))
+    @settings(max_examples=25, deadline=None)
+    def test_build_matches_on_block_states(self, n, seed):
+        assert_same_graph(block_state(n, seed))
+
+    @pytest.mark.parametrize("dims", [(3, 2, 4, 2), (2, 3), (5, 2), (2, 2), (5, 2, 2), (3, 3, 3)])
+    def test_build_matches_on_fixed_qudit_states(self, dims):
+        for seed in (1, 2):
+            assert_same_graph(labeled_state(dims, seed))
+
+    def test_build_matches_on_a_product_pair(self):
+        psi = PureState(qubits(("A", "B", "C")),
+                        np.kron(BELL, np.array([0.6, 0.8], dtype=complex)))
+        assert_same_graph(psi)
+
+    def test_build_does_not_call_reduced_density(self, monkeypatch):
+        def per_pair(*args, **kwargs):
+            raise AssertionError("build_info_graph went through reduced_density")
+
+        monkeypatch.setattr(entgeo.hilbert, "reduced_density", per_pair)
+        monkeypatch.setattr(entgeo.infotheory, "reduced_density", per_pair)
+        monkeypatch.setattr(entgeo.geometry, "reduced_density", per_pair, raising=False)
+        graph = build_info_graph(haar_state(("Q0", "Q1", "Q2", "Q3"), 5))
+        assert len(graph.edges) == 6
+
+    @given(seed=st.integers(0, 100_000))
+    @settings(max_examples=60, deadline=None)
+    def test_distances_match_dijkstra(self, seed):
+        graph = random_graph(seed)
+        verts = graph.vertices
+        for wf in PROFILES:
+            metric = emergent_metric(graph, wf)
+            rows = {v: reference_dijkstra(graph, wf, v, graph.i0) for v in verts}
+            assert metric.table == {(p, q): rows[p][q]
+                                    for i, p in enumerate(verts) for q in verts[i + 1:]}
+            for p in verts:
+                for q in verts:
+                    expected = 0.0 if p == q else rows[p][q]
+                    assert emergent_distance(graph, wf, p, q) == expected
+
+    def test_external_reference_matches_dijkstra(self):
+        graph = random_graph(17)
+        ref = 2.0 * graph.i0
+        wf = neg_log_weight()
+        metric = emergent_metric(graph, wf, ref_mi=ref)
+        for i, p in enumerate(graph.vertices):
+            row = reference_dijkstra(graph, wf, p, ref)
+            for q in graph.vertices[i + 1:]:
+                assert metric.distance(p, q) == row[q]
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_metric_check_matches_triple_loop(self, data):
+        n = data.draw(st.integers(1, 5))
+        verts = [f"V{i}" for i in range(n)]
+        value = st.one_of(st.floats(-2.0, 10.0),
+                          st.sampled_from([0.0, 1.0, math.inf, -math.inf, math.nan]))
+        table = {}
+        for i, p in enumerate(verts):
+            if data.draw(st.booleans()):
+                table[(p, p)] = data.draw(value)
+            for q in verts[i + 1:]:
+                way = data.draw(st.sampled_from(["forward", "backward", "both"]))
+                if way != "backward":
+                    table[(p, q)] = data.draw(value)
+                if way != "forward":
+                    table[(q, p)] = data.draw(value)
+        assert metric_check(table) == reference_metric_check(table)
+
+    @given(seed=st.integers(0, 100_000))
+    @settings(max_examples=25, deadline=None)
+    def test_metric_check_matches_triple_loop_on_metrics(self, seed):
+        metric = emergent_metric(random_graph(seed), neg_log_weight())
+        assert metric_check(metric) == reference_metric_check(metric.table)
+
+    @pytest.mark.parametrize("block_elems", [1, 100])
+    def test_row_blocks_change_nothing(self, monkeypatch, block_elems):
+        # 1 relaxes and checks one row per block; 100 takes 1-4 rows as V varies
+        monkeypatch.setattr(entgeo.geometry, "_BLOCK_ELEMS", block_elems)
+        wf = neg_log_weight()
+        rng = np.random.default_rng(block_elems)
+        for seed in range(30):
+            graph = random_graph(seed)
+            metric = emergent_metric(graph, wf)
+            for i, p in enumerate(graph.vertices):
+                row = reference_dijkstra(graph, wf, p, graph.i0)
+                for q in graph.vertices[i + 1:]:
+                    assert metric.distance(p, q) == row[q]
+            assert metric_check(metric) == reference_metric_check(metric.table)
+            verts = graph.vertices
+            table = {(p, q): float(rng.choice([rng.uniform(-1.0, 10.0), math.inf]))
+                     for p in verts for q in verts}
+            assert metric_check(table) == reference_metric_check(table)

@@ -18,6 +18,7 @@ from entgeo.hilbert import (
     schmidt_to_dense,
 )
 from entgeo.infotheory import (
+    EIG_CLAMP,
     check_mi_properties,
     correlation_lower_bound,
     entropy_from_spectrum,
@@ -96,6 +97,20 @@ class TestVonNeumannEntropy:
         psi = random_state((("A", 3), ("B", 4)), seed)
         s = von_neumann_entropy(reduced_density(psi, ("A",)))
         assert -1e-12 <= s <= math.log(3) + 1e-12
+
+    @given(seed=st.integers(0, 10_000), dim=st.integers(8, 24), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_sums_only_the_entries_above_the_clamp(self, seed, dim, data):
+        # a rank-deficient matrix leaves null-space eigenvalues below
+        # EIG_CLAMP; summing with them padded in would regroup the sum
+        rank = data.draw(st.integers(1, dim - 1))
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+        mat = g @ g.conj().T
+        rho = DensityMatrix((FactorSpace("A", dim),), mat / np.trace(mat).real)
+        lam = np.linalg.eigvalsh(rho.matrix)
+        kept = lam[lam > EIG_CLAMP]
+        assert von_neumann_entropy(rho) == max(float(-(kept * np.log(kept)).sum()), 0.0)
 
 
 class TestMutualInformation:
