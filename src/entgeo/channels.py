@@ -33,6 +33,7 @@ from .infotheory import (
     _split_pair,
     mutual_information,
     mutual_information_schmidt,
+    pure_state_mutual_information,
     von_neumann_entropy,
 )
 
@@ -60,6 +61,12 @@ def haar_random_state(tps: TensorProductStructure, seed: int) -> PureState:
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(tps.total_dim) + 1j * rng.standard_normal(tps.total_dim)
     return PureState(tps, v / np.linalg.norm(v))
+
+
+def _random_schmidt(rng: np.random.Generator, num_modes: int) -> SchmidtPairState:
+    """Schmidt-pair state with normalized complex-Gaussian weights drawn from rng."""
+    w = rng.standard_normal(num_modes) + 1j * rng.standard_normal(num_modes)
+    return SchmidtPairState.from_weights(w / np.linalg.norm(w))
 
 
 def _check_unitary(u: np.ndarray, what: str) -> np.ndarray:
@@ -213,10 +220,7 @@ def apply_nonlocal(
         raise ValueError(
             "system factors of a nonlocal perturbation must lie on one side of the split"
         )
-    mi0 = (
-        von_neumann_entropy(reduced_density(psi, side_a))
-        + von_neumann_entropy(reduced_density(psi, side_b))
-    )
+    mi0 = pure_state_mutual_information(psi, (side_a, side_b))
     env = PureState(TensorProductStructure(pert.env_factors, cap=psi.tps.cap), pert.env_state)
     extended = tensor(psi, env)
     extended = apply_unitary(extended, pert.unitary, pert.labels + pert.env_labels)
@@ -315,12 +319,9 @@ class BranchMixture:
 
 
 def _mode_set(source: SchmidtPairState, modes: Iterable[int], op: str) -> frozenset[int]:
+    """modes as ints; BranchMixture checks that they lie in 1..num_modes."""
     source.require_weights(op)
-    mode_set = frozenset(int(n) for n in modes)
-    for n in mode_set:
-        if n < 1 or n > source.num_modes:
-            raise ValueError(f"mode index {n} outside 1..{source.num_modes}")
-    return mode_set
+    return frozenset(int(n) for n in modes)
 
 
 def dephase_modes(

@@ -20,7 +20,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -30,6 +30,7 @@ from .channels import (
     DecoherenceSchedule,
     LocalPerturbation,
     NonLocalPerturbation,
+    _random_schmidt,
     apply_local,
     apply_nonlocal,
     dephase_modes,
@@ -48,11 +49,12 @@ from .geometry import (
     neg_log_weight,
 )
 from .hilbert import (
+    DENSE_CAP,
     ExplicitWeightsRequired,
     FactorSpace,
     PureState,
-    SchmidtPairState,
     TensorProductStructure,
+    _cap_error,
     density_of,
     partial_trace,
     qubits,
@@ -181,15 +183,14 @@ def _parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, default=None, metavar="U64")
     run_p.add_argument("--out", metavar="PATH", help="output file (default: stdout)")
     run_p.add_argument("--format", choices=("csv", "json"), default=None)
-    seen: dict[str, ParamSpec] = {}
+    # one flag per parameter name, with the first scenario's help text
+    flags: dict[str, str] = {}
     for specs in SCENARIO_PARAMS.values():
         for spec in specs:
-            prior = seen.get(spec.name)
-            if prior is not None:
-                continue
-            seen[spec.name] = spec
-            flag = "--" + spec.name.replace("_", "-")
-            run_p.add_argument(flag, type=str, default=None, help=spec.help, metavar="VALUE")
+            flags.setdefault(spec.name, spec.help)
+    for name, help_text in flags.items():
+        run_p.add_argument("--" + name.replace("_", "-"), type=str, default=None,
+                           help=help_text, metavar="VALUE")
     return parser
 
 
@@ -226,19 +227,31 @@ def _coerce(spec: ParamSpec, raw: str, origin: str) -> Any:
     return value
 
 
-def _effective_params(scenario: str, args: argparse.Namespace) -> dict[str, Any]:
-    """Defaults, then config file entries, then command line flags."""
-    specs = {spec.name: spec for spec in SCENARIO_PARAMS[scenario]}
-    params = {name: spec.default for name, spec in specs.items()}
+def _effective_config(scenario: str, args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
+    """The run's seed and parameters, reading the config file once.
+
+    The seed is --seed, else the file's seed entry, else 0. Parameters are
+    the defaults, then config file entries, then command line flags. The
+    seed is checked before any parameter.
+    """
     file_entries: dict[str, str] = {}
     if args.config is not None:
         try:
             file_entries = _parse_config_file(args.config)
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
+    seed = args.seed
+    file_seed = file_entries.pop("seed", "0")
+    if seed is None:
+        try:
+            seed = int(file_seed)
+        except ValueError as exc:
+            raise ConfigError(f"bad seed in config file: {file_seed!r}") from exc
+    if not (0 <= seed < 2**64):
+        raise ConfigError(f"seed must fit in an unsigned 64-bit integer, got {seed}")
+    specs = {spec.name: spec for spec in SCENARIO_PARAMS[scenario]}
+    params = {name: spec.default for name, spec in specs.items()}
     for key, raw in file_entries.items():
-        if key == "seed":
-            continue
         if key not in specs:
             raise ConfigError(f"config key {key!r} does not apply to scenario {scenario}")
         params[key] = _coerce(specs[key], raw, args.config)
@@ -249,32 +262,11 @@ def _effective_params(scenario: str, args: argparse.Namespace) -> dict[str, Any]
     # flags belonging to other scenarios must not be silently ignored
     for other_specs in SCENARIO_PARAMS.values():
         for spec in other_specs:
-            if spec.name in specs:
-                continue
-            if getattr(args, spec.name, None) is not None:
+            if spec.name not in specs and getattr(args, spec.name, None) is not None:
                 raise ConfigError(
                     f"--{spec.name.replace('_', '-')} does not apply to scenario {scenario}"
                 )
-    return params
-
-
-def _effective_seed(args: argparse.Namespace) -> int:
-    seed = args.seed
-    if seed is None and args.config is not None:
-        try:
-            entries = _parse_config_file(args.config)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from exc
-        if "seed" in entries:
-            try:
-                seed = int(entries["seed"])
-            except ValueError as exc:
-                raise ConfigError(f"bad seed in config file: {entries['seed']!r}") from exc
-    if seed is None:
-        seed = 0
-    if not (0 <= seed < 2**64):
-        raise ConfigError(f"seed must fit in an unsigned 64-bit integer, got {seed}")
-    return seed
+    return seed, params
 
 
 # ---------------------------------------------------------------------------
@@ -520,6 +512,8 @@ def _graph_state(name: str, n_qubits: int, seed: int) -> PureState:
         amp[0] = 1.0
         return PureState(qubits(("A", "B")), amp)
     if name == "random":
+        if n_qubits >= DENSE_CAP.bit_length():  # 2**n_qubits > DENSE_CAP
+            raise _cap_error({2: n_qubits}, DENSE_CAP)
         labels = tuple(f"Q{i}" for i in range(n_qubits))
         return haar_random_state(qubits(labels), seed)
     raise AssertionError(name)
@@ -606,11 +600,6 @@ def _battery_nonlocal_monotone(trials: int, seed: int) -> float:
         _, delta_mi = apply_nonlocal(psi, pert, split)
         worst = max(worst, delta_mi)
     return worst
-
-
-def _random_schmidt(rng: np.random.Generator, num_modes: int) -> SchmidtPairState:
-    w = rng.standard_normal(num_modes) + 1j * rng.standard_normal(num_modes)
-    return SchmidtPairState.from_weights(w / np.linalg.norm(w))
 
 
 def _battery_decoherence_order(trials: int, seed: int) -> float:
@@ -744,10 +733,7 @@ def run(cfg: RunConfig) -> int:
     """
     handler = _HANDLERS[cfg.scenario]
     result = handler(cfg.params, cfg.seed)
-    meta = dict(result.meta)
-    meta["format"] = cfg.fmt
-    result = TableResult(meta=meta, header=result.header, kinds=result.kinds,
-                         rows=result.rows, exit_code=result.exit_code)
+    result = replace(result, meta={**result.meta, "format": cfg.fmt})
     if cfg.fmt == "json":
         text = _render_json(cfg.scenario, cfg.seed, result)
     else:
@@ -766,8 +752,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        seed = _effective_seed(args)
-        params = _effective_params(args.scenario, args)
+        seed, params = _effective_config(args.scenario, args)
         cfg = RunConfig(scenario=args.scenario, params=params, seed=seed,
                         out=args.out, fmt=args.format or "csv")
         return run(cfg)

@@ -210,7 +210,9 @@ def edge_weight(mi: float, ref_mi: float, wf: WeightFunction) -> float:
 
     mi = ref_mi gives exactly zero for the neg-log profile; mi = 0 gives
     math.inf (no correlation, infinite separation). mi above the reference
-    or a nonpositive reference is a caller error.
+    or a nonpositive reference is a caller error. A length that is NaN or
+    negative breaks the weight profile's contract and makes distances
+    meaningless, so it raises too.
     """
     if not ref_mi > 0.0:
         raise ValueError(f"reference MI must be positive, got {ref_mi}")
@@ -222,24 +224,22 @@ def edge_weight(mi: float, ref_mi: float, wf: WeightFunction) -> float:
         return math.inf
     x = min(mi / ref_mi, 1.0)
     # + 0.0 turns the -0.0 that -log(1.0) produces into a clean zero
-    return wf(x) + 0.0
+    length = wf(x) + 0.0
+    if not length >= 0.0:
+        raise ValueError(f"edge MI {mi} has length {length}; lengths must be >= 0")
+    return length
 
 
 def _weight_matrix(graph: InfoGraph, wf: WeightFunction, ref_mi: float) -> np.ndarray:
     """V x V edge lengths in vertex order, inf where there is no edge.
 
     edge_weight runs once per edge, in edge order, so the first bad edge
-    in that order is the one that raises. A length that is NaN or negative
-    breaks the weight profile's contract and makes shortest paths
-    meaningless; it raises too.
+    in that order is the one that raises.
     """
     index = {v: k for k, v in enumerate(graph.vertices)}
     w = np.full((len(index), len(index)), math.inf)
     for (a, b), mi in graph.edges.items():
-        length = edge_weight(mi, ref_mi, wf)
-        if not length >= 0.0:
-            raise ValueError(f"edge ({a!r}, {b!r}) has length {length}; lengths must be >= 0")
-        w[index[a], index[b]] = w[index[b], index[a]] = length
+        w[index[a], index[b]] = w[index[b], index[a]] = edge_weight(mi, ref_mi, wf)
     return w
 
 

@@ -12,14 +12,17 @@ anything materializable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from collections import Counter
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-# Default bound on the joint dimension of any dense representation.
-# Overridable per TensorProductStructure; the default keeps a full
-# density matrix plus its eigendecomposition comfortably in memory.
+# Default bound on the joint dimension of any dense representation, that
+# is on the length of a state vector; overridable per
+# TensorProductStructure. It does not bound d x d matrices: at the cap one
+# complex density matrix is 4 GiB, and density_of, mutual_information and
+# apply_nonlocal build such matrices (plus copies and temporaries).
 DENSE_CAP = 2**14
 
 # Tolerance for structural invariants (normalization, hermiticity, trace).
@@ -46,6 +49,26 @@ class FactorSpace:
         object.__setattr__(self, "dim", int(self.dim))
 
 
+def _factor_tuple(factors: Iterable[FactorSpace]) -> tuple[FactorSpace, ...]:
+    """factors as a tuple, checked to be non-empty with unique labels."""
+    factors = tuple(factors)
+    if not factors:
+        raise ValueError("need at least one factor")
+    labels = [f.label for f in factors]
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"duplicate factor labels in {labels}")
+    return factors
+
+
+def _cap_error(dim_counts: Mapping[int, int], cap: int) -> ValueError:
+    """The dense-cap error for the joint dimension prod d**m over dim_counts,
+    given as a power of ten past 4000 digits (str() refuses 4300)."""
+    counts = dim_counts.items()
+    log10 = sum(m * math.log10(d) for d, m in counts)
+    dim = math.prod(d**m for d, m in counts) if log10 < 4000 else f"about 1e{int(log10)}"
+    return ValueError(f"joint dimension {dim} exceeds dense cap {cap}")
+
+
 @dataclass(frozen=True)
 class TensorProductStructure:
     """Ordered factorization of a joint Hilbert space.
@@ -59,18 +82,14 @@ class TensorProductStructure:
     cap: int = DENSE_CAP
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "factors", tuple(self.factors))
-        if not self.factors:
-            raise ValueError("need at least one factor")
-        labels = [f.label for f in self.factors]
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate factor labels in {labels}")
+        object.__setattr__(self, "factors", _factor_tuple(self.factors))
         if self.cap < 2:
             raise ValueError("dense cap must be at least 2")
-        if self.total_dim > self.cap:
-            raise ValueError(
-                f"joint dimension {self.total_dim} exceeds dense cap {self.cap}"
-            )
+        dim = 1
+        for f in self.factors:
+            dim *= f.dim
+            if dim > self.cap:  # stop here: the full product may be huge
+                raise _cap_error(Counter(self.dims), self.cap)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -161,16 +180,13 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "factors", tuple(self.factors))
-        if not self.factors:
-            raise ValueError("need at least one factor")
-        labels = [f.label for f in self.factors]
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate factor labels in {labels}")
-        d = math.prod(f.dim for f in self.factors)
+        object.__setattr__(self, "factors", _factor_tuple(self.factors))
+        d = math.prod(self.dims)
         mat = np.array(self.matrix, dtype=complex, copy=True)
         if mat.shape != (d, d):
-            raise ValueError(f"matrix must be {d}x{d} for factors {labels}, got {mat.shape}")
+            raise ValueError(
+                f"matrix must be {d}x{d} for factors {list(self.labels)}, got {mat.shape}"
+            )
         _check_density_stack(mat[None])
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
@@ -192,12 +208,6 @@ class DensityMatrix:
         lam = np.linalg.eigvalsh(self.matrix)
         if lam.min() < -atol:
             raise ValueError(f"matrix has negative eigenvalue {lam.min()}")
-
-    def index_of(self, label: str) -> int:
-        for i, f in enumerate(self.factors):
-            if f.label == label:
-                return i
-        raise KeyError(f"no factor labeled {label!r}")
 
 
 def tensor(*states: PureState) -> PureState:
@@ -316,7 +326,8 @@ class SchmidtPairState:
     pairing: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if int(self.num_modes) != self.num_modes or self.num_modes < 1:
+        # the range test comes first, so that nan and inf get this message too
+        if not 1 <= self.num_modes < math.inf or int(self.num_modes) != self.num_modes:
             raise ValueError(f"num_modes must be an integer >= 1, got {self.num_modes!r}")
         object.__setattr__(self, "num_modes", int(self.num_modes))
         if self.weights is None:
@@ -349,10 +360,11 @@ class SchmidtPairState:
         Symbolic by default (no allocation, any size); pass symbolic=False
         to materialize the weight vector.
         """
+        state = cls(num_modes=num_modes)  # checks num_modes before any allocation
         if symbolic:
-            return cls(num_modes=num_modes)
-        w = np.full(int(num_modes), 1.0 / math.sqrt(num_modes), dtype=complex)
-        return cls(num_modes=int(num_modes), weights=w)
+            return state
+        n = state.num_modes
+        return cls(num_modes=n, weights=np.full(n, 1.0 / math.sqrt(n), dtype=complex))
 
     @property
     def is_symbolic(self) -> bool:
@@ -408,8 +420,6 @@ def schmidt_to_dense(
     m = s.num_modes
     if m < 2:
         raise ValueError("dense realization needs at least 2 modes")
-    if m * m > cap:
-        raise ValueError(f"joint dimension {m * m} exceeds dense cap {cap}")
     tps = TensorProductStructure(
         (FactorSpace(labels[0], m), FactorSpace(labels[1], m)), cap=cap
     )

@@ -176,9 +176,7 @@ def momentum_sector_state(
         num_modes = scales.mode_count
     if num_modes is None:
         raise ValueError("need explicit weights, num_modes, or scales")
-    if int(num_modes) != num_modes or num_modes < 1:
-        raise ValueError(f"num_modes must be an integer >= 1, got {num_modes!r}")
-    return SchmidtPairState.flat(int(num_modes), symbolic=num_modes > materialize_limit)
+    return SchmidtPairState.flat(num_modes, symbolic=num_modes > materialize_limit)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import math
@@ -6,8 +7,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from entgeo import __version__
+from entgeo import __version__, cli
 from entgeo.cli import export_edges, main
 from entgeo.geometry import build_info_graph, neg_log_weight
 from entgeo.scenarios import bell_with_environment
@@ -185,21 +188,37 @@ class TestMomentumSweep:
         assert code == 2
         assert "channel" in err
 
-    # Pinned bytes of committed sweep configurations. JSON (full repr) and
-    # --spin-mi 0 (whose fully localized row is -log of a round-off residual
-    # or inf) are left out: their last bits depend on summation order.
-    @pytest.mark.parametrize("name,flags", [
-        ("momentum-sweep_seed11.csv", ("--seed", "11")),
-        ("momentum-sweep_dephase_16x4.csv",
+    # Pinned bytes of committed configurations, sweeps and graphs alike.
+    # JSON (full repr), property-suite (worst violations are LAPACK
+    # round-off) and --spin-mi 0 (whose fully localized row is -log of a
+    # round-off residual or inf) are left out: their last bits depend on
+    # summation order. Explicit ids keep each entry's "<file>-flags<k>" name
+    # stable as entries are added.
+    GOLDEN_RUNS = [
+        ("momentum-sweep_seed11.csv", "momentum-sweep", ("--seed", "11")),
+        ("momentum-sweep_dephase_16x4.csv", "momentum-sweep",
          ("--channel", "dephase", "--n-modes", "16", "--steps", "4")),
-        ("momentum-sweep_dephase_65536x64.csv",
+        ("momentum-sweep_dephase_65536x64.csv", "momentum-sweep",
          ("--channel", "dephase", "--n-modes", "65536", "--steps", "64")),
-        ("momentum-sweep_localize_65536x64.csv",
+        ("momentum-sweep_localize_65536x64.csv", "momentum-sweep",
          ("--channel", "localize", "--n-modes", "65536", "--steps", "64")),
-        ("momentum-sweep_localize_777x777.csv", ("--n-modes", "777", "--steps", "777")),
-    ])
-    def test_matches_golden_csv(self, capsys, name, flags):
-        code, out, _ = run_cli(capsys, "run", "momentum-sweep", *flags)
+        ("momentum-sweep_localize_777x777.csv", "momentum-sweep",
+         ("--n-modes", "777", "--steps", "777")),
+        ("graph-reconstruct_bell.csv", "graph-reconstruct", ("--state", "bell")),
+        ("graph-reconstruct_ghz3.csv", "graph-reconstruct", ("--state", "ghz3")),
+        ("graph-reconstruct_w3.csv", "graph-reconstruct", ("--state", "w3")),
+        ("graph-reconstruct_random_seed5.csv", "graph-reconstruct",
+         ("--state", "random", "--seed", "5")),
+        ("graph-reconstruct_random_10q_seed7.csv", "graph-reconstruct",
+         ("--state", "random", "--n-qubits", "10", "--seed", "7")),
+    ]
+
+    @pytest.mark.parametrize(
+        "name,scenario,flags", GOLDEN_RUNS,
+        ids=[f"{name}-flags{k}" for k, (name, _, _) in enumerate(GOLDEN_RUNS)],
+    )
+    def test_matches_golden_csv(self, capsys, name, scenario, flags):
+        code, out, _ = run_cli(capsys, "run", scenario, *flags)
         assert code == 0
         assert out.encode() == (GOLDEN / name).read_bytes()
 
@@ -225,6 +244,15 @@ class TestGraphReconstruct:
                              "--state", "product", "--out", str(out_path))
         assert code == 2
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("n_qubits,dim", [("15", "32768"), ("400000", "about 1e120411")])
+    def test_qubit_count_over_the_cap_is_refused(self, capsys, n_qubits, dim):
+        # refused before n_qubits labels are built or their dimension multiplied
+        code, out, err = run_cli(capsys, "run", "graph-reconstruct", "--state", "random",
+                                 "--n-qubits", n_qubits)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: joint dimension {dim} exceeds dense cap 16384\n"
 
     def test_random_state_is_seeded(self, capsys):
         _, out1, _ = run_cli(capsys, "run", "graph-reconstruct",
@@ -328,6 +356,18 @@ class TestConfigFile:
                                "--config", str(tmp_path / "absent.cfg"))
         assert code == 2
         assert "cannot read" in err
+
+    def test_file_is_read_once(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("l_rc = 2.0\nseed = 7\n")
+        calls = []
+        parse = cli._parse_config_file
+        monkeypatch.setattr(cli, "_parse_config_file",
+                            lambda path: calls.append(path) or parse(path))
+        code, out, _ = run_cli(capsys, "run", "bell-env", "--config", str(cfg))
+        assert code == 0
+        assert "# seed = 7" in out.splitlines()
+        assert calls == [str(cfg)]
 
     def test_bad_seed_in_file_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -434,3 +474,60 @@ def test_module_entry_point(argv, code):
     assert proc.returncode == code
     if code == 0:
         assert "1.386294361,0.693147181,0.693147181,0.000000000" in proc.stdout
+
+
+# Values any flag may receive besides its valid ones. Big integers come both
+# as expressions (which int() rejects) and spelled out (which it accepts).
+HOSTILE = ("0", "-1", "nan", "inf", "1e-320", "1e308", "2**64", "10**30", "abc",
+           str(2**64), str(10**30))
+HOSTILE_SMALL = tuple(v for v in HOSTILE if v not in (str(2**64), str(10**30)))
+
+# Valid values per flag, kept cheap: at most 2 trials, 64 steps and 4096
+# materialized modes (larger mode counts go symbolic past 2**20).
+FUZZ_FLAGS = {
+    "--l-rc": ("1.0", "2.5", "1e-3"),
+    "--log-base": ("2", "10", "1.5"),
+    "--n": ("2", "3", "16"),
+    "--n-modes": ("1", "4", "64", "4096", str(2**21), str(10**40)),
+    "--l-app": ("1e-3", "1e-10"),
+    "--mass": ("1e-20", "9.1e-31"),
+    "--lambda-cc": ("1e-52", "1e-40"),
+    "--momentum-cap": ("apparatus", "compton"),
+    "--distribution": ("flat",),
+    "--steps": ("0", "1", "8", "64"),
+    "--channel": ("dephase", "localize"),
+    "--spin-mi": ("0", "0.5", "1e-300"),
+    "--state": ("bell", "ghz3", "w3", "product", "random"),
+    "--n-qubits": ("1", "2", "5", "14", "400000", "1000000000"),
+    "--trials": ("1", "2"),
+    "--seed": ("0", "7", str(2**64 - 1), str(2**64)),
+}
+
+
+@st.composite
+def cli_runs(draw):
+    scenario = draw(st.sampled_from(cli.SCENARIOS))
+    own = ["--seed"] + ["--" + spec.name.replace("_", "-")
+                        for spec in cli.SCENARIO_PARAMS[scenario]]
+    # mostly the scenario's own flags, now and then one that does not apply
+    flags = draw(st.lists(st.sampled_from(own), unique=True, max_size=len(own)))
+    if draw(st.integers(0, 9)) == 0:
+        flags.append(draw(st.sampled_from(sorted(set(FUZZ_FLAGS) - set(own)))))
+    argv = ["run", scenario, "--format", draw(st.sampled_from(("csv", "json")))]
+    for flag in flags:
+        # a spelled-out huge trial count would be a valid, endless run
+        hostile = HOSTILE_SMALL if flag == "--trials" else HOSTILE
+        # one value in four is hostile, so that many runs get past the checks
+        pool = hostile if draw(st.integers(0, 3)) == 0 else FUZZ_FLAGS[flag]
+        argv += [flag, draw(st.sampled_from(pool))]
+    return argv
+
+
+@given(argv=cli_runs())
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_flags_end_in_a_documented_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

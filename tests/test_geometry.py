@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import entgeo.hilbert
 import entgeo.infotheory
-from entgeo.channels import haar_random_state
+from entgeo.channels import DecoherenceSchedule, decoherence_sweep, haar_random_state
 from entgeo.geometry import (
     MI_EDGE_FLOOR,
     EmergentMetric,
@@ -228,6 +228,19 @@ class TestEmergentDistance:
             emergent_metric(graph, wf)
         with pytest.raises(ValueError, match=">= 0"):
             emergent_distance(graph, wf, "P", "Q")
+
+    def test_every_length_consumer_rejects_a_negative_length(self):
+        # the step-0 distance of a sweep and a strongest edge both sit at
+        # phi(1) = -1e-13, which must not reach the output
+        wf = WeightFunction(phi=lambda x: -math.log(x) - 1e-13)
+        graph = InfoGraph(("P", "Q"), {("P", "Q"): 0.5})
+        flat = entgeo.hilbert.SchmidtPairState.flat(4, symbolic=False)
+        with pytest.raises(ValueError, match=">= 0"):
+            edge_weight(0.5, 0.5, wf)
+        with pytest.raises(ValueError, match=">= 0"):
+            edge_records(graph, wf)
+        with pytest.raises(ValueError, match=">= 0"):
+            decoherence_sweep(flat, DecoherenceSchedule.ir_first(4, 2, "dephase"), LOG2, wf)
 
     def test_nan_length_raises(self):
         wf = WeightFunction(phi=lambda x: math.nan if 0.3 < x < 0.4 else -math.log(x))

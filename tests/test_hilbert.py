@@ -58,6 +58,14 @@ class TestTensorProductStructure:
         with pytest.raises(ValueError, match="cap"):
             TensorProductStructure(factors)  # 2^15 over the default 2^14
 
+    @pytest.mark.parametrize("n,text", [
+        (40, "1099511627776"),
+        (20000, "about 1e6020"),  # 6021 digits, more than str() of an int gives out
+    ])
+    def test_cap_message_prints_the_dimension_while_it_is_printable(self, n, text):
+        with pytest.raises(ValueError, match=f"^joint dimension {text} exceeds dense cap 16384$"):
+            qubits(tuple(f"Q{i}" for i in range(n)))
+
     def test_cap_is_configurable(self):
         factors = tuple(FactorSpace(f"Q{i}", 2) for i in range(15))
         tps = TensorProductStructure(factors, cap=2**15)
@@ -239,6 +247,11 @@ class TestSchmidtPairState:
     def test_rejects_bad_mode_count(self):
         with pytest.raises(ValueError):
             SchmidtPairState(num_modes=0)
+
+    @pytest.mark.parametrize("n", [0, -3, 2.5, math.nan, math.inf])
+    def test_materialized_flat_rejects_bad_mode_count(self, n):
+        with pytest.raises(ValueError, match="num_modes must be an integer >= 1"):
+            SchmidtPairState.flat(n, symbolic=False)
 
     def test_rejects_non_injective_pairing(self):
         w = np.array([1.0, 1.0, 1.0]) / math.sqrt(3)
