@@ -79,6 +79,23 @@ def _check_unitary(u: np.ndarray, what: str) -> np.ndarray:
     return u
 
 
+def _set_labels_and_unitary(pert: LocalPerturbation | NonLocalPerturbation) -> None:
+    """Checks and stores a perturbation's labels (as a tuple) and unitary (locked)."""
+    object.__setattr__(pert, "labels", tuple(pert.labels))
+    if not pert.labels or len(set(pert.labels)) != len(pert.labels):
+        raise ValueError("labels must be non-empty and unique")
+    u = _check_unitary(pert.unitary, "unitary")
+    u.setflags(write=False)
+    object.__setattr__(pert, "unitary", u)
+
+
+def _check_known_factors(pert_labels: Iterable[str], psi_labels: Iterable[str]) -> None:
+    """Rejects perturbation labels that name no factor of the state."""
+    outside = set(pert_labels) - set(psi_labels)
+    if outside:
+        raise ValueError(f"perturbation touches unknown factors {sorted(outside)}")
+
+
 @dataclass(frozen=True)
 class LocalPerturbation:
     """Unitary acting on named factors inside the system."""
@@ -87,12 +104,7 @@ class LocalPerturbation:
     labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "labels", tuple(self.labels))
-        if not self.labels or len(set(self.labels)) != len(self.labels):
-            raise ValueError("labels must be non-empty and unique")
-        u = _check_unitary(self.unitary, "unitary")
-        u.setflags(write=False)
-        object.__setattr__(self, "unitary", u)
+        _set_labels_and_unitary(self)
 
 
 @dataclass(frozen=True)
@@ -110,15 +122,10 @@ class NonLocalPerturbation:
     env_state: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "labels", tuple(self.labels))
+        _set_labels_and_unitary(self)
         object.__setattr__(self, "env_factors", tuple(self.env_factors))
-        if not self.labels or len(set(self.labels)) != len(self.labels):
-            raise ValueError("labels must be non-empty and unique")
         if not self.env_factors:
             raise ValueError("need at least one environment factor")
-        u = _check_unitary(self.unitary, "unitary")
-        u.setflags(write=False)
-        object.__setattr__(self, "unitary", u)
         env_dim = math.prod(f.dim for f in self.env_factors)
         v = np.array(self.env_state, dtype=complex, copy=True).reshape(-1)
         if v.shape != (env_dim,):
@@ -175,9 +182,7 @@ def apply_local(
     is verified numerically within atol on every call.
     """
     side_a, side_b = _split_pair(psi.labels, split)
-    outside = set(pert.labels) - set(psi.labels)
-    if outside:
-        raise ValueError(f"perturbation touches unknown factors {sorted(outside)}")
+    _check_known_factors(pert.labels, psi.labels)
     s_a0 = von_neumann_entropy(reduced_density(psi, side_a))
     s_b0 = von_neumann_entropy(reduced_density(psi, side_b))
     psi1 = apply_unitary(psi, pert.unitary, pert.labels)
@@ -213,9 +218,8 @@ def apply_nonlocal(
     collision = set(pert.env_labels) & set(psi.labels)
     if collision:
         raise ValueError(f"environment labels collide with system labels {sorted(collision)}")
+    _check_known_factors(pert.labels, psi.labels)
     touched = set(pert.labels)
-    if not touched <= set(psi.labels):
-        raise ValueError(f"perturbation touches unknown factors {sorted(touched - set(psi.labels))}")
     if not (touched <= set(side_a) or touched <= set(side_b)):
         raise ValueError(
             "system factors of a nonlocal perturbation must lie on one side of the split"

@@ -15,8 +15,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .hilbert import PureState, _check_density_stack, _contract_pure
-from .infotheory import _matrix_entropies
+from .hilbert import _BLOCK_ELEMS, PureState, _check_density_stack, _contract_pure
+from .infotheory import _matrix_entropies, _nonnegative_mi
 from .infotheory import mutual_information  # noqa: F401  (re-exported)
 
 # Pairwise MI below this is treated as no edge at all.
@@ -120,9 +120,7 @@ def build_info_graph(psi: PureState, mi_floor: float = MI_EDGE_FLOOR) -> InfoGra
             mi_of[pair] = s_p[k] + s_q[k] - s_pq[k]
     edges: dict[tuple[str, str], float] = {}
     for (i, j), mi in sorted(mi_of.items()):
-        if mi < -1e-9:
-            raise ArithmeticError(f"mutual information came out negative: {mi}")
-        if mi >= mi_floor:
+        if _nonnegative_mi(mi) >= mi_floor:
             edges[_canonical_pair(labels[i], labels[j])] = mi
     if not edges:
         raise NoCorrelationsError(
@@ -270,13 +268,12 @@ def _shortest_paths(w: np.ndarray, sources: Sequence[int]) -> np.ndarray:
     return d
 
 
-# Cap on the elements of one b x V x V intermediate in _shortest_paths and
-# metric_check (2 MiB of floats); b shrinks as V grows, down to one row.
-_BLOCK_ELEMS = 1 << 18
-
-
 def _row_blocks(rows: int, n: int) -> list[slice]:
-    """Slices over rows, as many per slice as fit rows x n x n in _BLOCK_ELEMS."""
+    """Slices over rows, as many per slice as fit rows x n x n in _BLOCK_ELEMS.
+
+    That caps one b x V x V intermediate of _shortest_paths and
+    metric_check at 2 MiB of floats; b shrinks as V grows, down to one row.
+    """
     step = max(1, _BLOCK_ELEMS // max(1, n * n))
     return [slice(lo, lo + step) for lo in range(0, rows, step)]
 

@@ -22,8 +22,20 @@ import numpy as np
 # is on the length of a state vector; overridable per
 # TensorProductStructure. It does not bound d x d matrices: at the cap one
 # complex density matrix is 4 GiB, and density_of, mutual_information and
-# apply_nonlocal build such matrices (plus copies and temporaries).
+# apply_nonlocal build such matrices. Building one through reduced_density,
+# partial_trace or density_of holds that matrix plus at most two blocks of
+# _BLOCK_ELEMS temporaries; each eigvalsh on it takes one more d x d copy.
 DENSE_CAP = 2**14
+
+# Elements in one block of temporaries (4 MiB of complex). Work on a d x d
+# matrix (symmetrization, the hermiticity check) runs in row blocks of at
+# most this many elements, and geometry takes its V x V x V intermediates in
+# blocks of it; work that fits in one block runs as one expression.
+_BLOCK_ELEMS = 1 << 18
+
+# Most Schmidt weights ever materialized (1 GiB of complex weights):
+# flat(n, symbolic=False) and materialize() refuse more before allocating.
+MAX_EXPLICIT_MODES = 2**26
 
 # Tolerance for structural invariants (normalization, hermiticity, trace).
 ATOL_STRUCT = 1e-10
@@ -155,15 +167,42 @@ def _check_density_stack(mats: np.ndarray) -> None:
     The one structural check behind DensityMatrix. Both conditions are
     evaluated for the whole stack at once, then read matrix by matrix: the
     first failing matrix raises with the constructor's message, hermiticity
-    before trace.
+    before trace. A stack larger than one block of _BLOCK_ELEMS takes the
+    hermiticity error in row blocks joined by np.maximum, which keeps the
+    exact maximum and any NaN, so at most two blocks of temporaries live.
     """
-    herm_err = np.maximum.reduce(np.abs(mats - mats.conj().swapaxes(1, 2)), axis=(1, 2))
+    count, d = mats.shape[:2]
+    if mats.size <= _BLOCK_ELEMS:
+        herm_err = np.maximum.reduce(np.abs(mats - mats.conj().swapaxes(1, 2)), axis=(1, 2))
+    else:
+        step = max(1, _BLOCK_ELEMS // (count * d))
+        herm_err = np.zeros(count)
+        for r0 in range(0, d, step):
+            rows = slice(r0, r0 + step)
+            # one expression, so no block outlives its iteration
+            herm_err = np.maximum(herm_err, np.maximum.reduce(
+                np.abs(mats[:, rows] - mats[:, :, rows].conj().swapaxes(1, 2)), axis=(1, 2)))
     traces = mats.trace(axis1=1, axis2=2)
     for k, (err, tr) in enumerate(zip(herm_err.tolist(), traces.tolist())):
         if err > ATOL_STRUCT:
             raise ValueError(f"matrix not hermitian: max |rho - rho^dag| = {herm_err[k]}")
         if abs(tr - 1.0) > ATOL_STRUCT:
             raise ValueError(f"matrix trace must be 1, got {traces[k]}")
+
+
+class _Fresh:
+    """A complex (d, d) array just built in this module for one DensityMatrix.
+
+    DensityMatrix(factors, _Fresh(mat)) is the trusted constructor of the
+    internal producers: it keeps mat itself, without the public
+    constructor's copy and its shape and factor checks (the factors come
+    from a validated structure), but still checks hermiticity and trace.
+    """
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray) -> None:
+        self.array = array
 
 
 @dataclass(frozen=True)
@@ -174,19 +213,29 @@ class DensityMatrix:
     partial trace output is validated per call). Spectrum nonnegativity is
     asserted wherever eigenvalues are actually computed; validate() runs
     the full eigenvalue check on demand.
+
+    The public constructor copies its input, so the caller's array stays
+    its own: it holds the input, the copy and at most two blocks of check
+    temporaries. This module's producers pass a _Fresh array instead, which
+    is kept without a copy.
     """
 
     factors: tuple[FactorSpace, ...]
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "factors", _factor_tuple(self.factors))
-        d = math.prod(self.dims)
-        mat = np.array(self.matrix, dtype=complex, copy=True)
-        if mat.shape != (d, d):
-            raise ValueError(
-                f"matrix must be {d}x{d} for factors {list(self.labels)}, got {mat.shape}"
-            )
+        if type(self.matrix) is _Fresh:
+            mat = self.matrix.array
+        else:
+            object.__setattr__(self, "factors", _factor_tuple(self.factors))
+            d = math.prod(self.dims)
+            mat = np.array(self.matrix, dtype=complex, copy=True)
+            if mat.shape != (d, d):
+                raise ValueError(
+                    f"matrix must be {d}x{d} for factors {list(self.labels)}, got {mat.shape}"
+                )
+        # live for fresh arrays too: a state normalized only to ATOL_STRUCT
+        # can reduce to a trace further off 1
         _check_density_stack(mat[None])
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
@@ -233,7 +282,8 @@ def tensor(*states: PureState) -> PureState:
 
 def density_of(psi: PureState) -> DensityMatrix:
     """Rank-one density operator |psi><psi| over all factors of psi."""
-    return DensityMatrix(psi.tps.factors, np.outer(psi.amplitudes, psi.amplitudes.conj()))
+    return DensityMatrix(psi.tps.factors,
+                         _Fresh(np.outer(psi.amplitudes, psi.amplitudes.conj())))
 
 
 def _kept_positions(labels: Sequence[str], keep: Iterable[str]) -> tuple[list[int], list[int]]:
@@ -264,7 +314,7 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
         t = np.trace(t, axis1=pos, axis2=pos + half)
     kept_factors = tuple(rho.factors[i] for i in kept)
     d = math.prod(f.dim for f in kept_factors)
-    return DensityMatrix(kept_factors, t.reshape(d, d))
+    return DensityMatrix(kept_factors, _Fresh(t.reshape(d, d)))
 
 
 def reduced_density(psi: PureState, keep: Iterable[str]) -> DensityMatrix:
@@ -272,7 +322,9 @@ def reduced_density(psi: PureState, keep: Iterable[str]) -> DensityMatrix:
 
     Contracts the complement directly from the state vector, so the cost is
     set by the kept and dropped dimensions rather than the squared joint
-    dimension. Agrees with partial_trace(density_of(psi), keep).
+    dimension. Agrees with partial_trace(density_of(psi), keep). For d
+    kept dimensions the working set is the d x d result plus two blocks
+    of _BLOCK_ELEMS and the (2, d, d_dropped) contraction buffer.
     """
     kept, dropped = _kept_positions(psi.tps.labels, keep)
     dims = psi.tps.dims
@@ -280,7 +332,7 @@ def reduced_density(psi: PureState, keep: Iterable[str]) -> DensityMatrix:
         return density_of(psi)
     mat = _contract_pure(psi.amplitudes.reshape(dims), kept, dropped)
     kept_factors = tuple(psi.tps.factors[i] for i in kept)
-    return DensityMatrix(kept_factors, mat)
+    return DensityMatrix(kept_factors, _Fresh(mat))
 
 
 def _contract_pure(t: np.ndarray, kept: list[int], dropped: list[int],
@@ -292,6 +344,15 @@ def _contract_pure(t: np.ndarray, kept: list[int], dropped: list[int],
     dropped axes in one matrix product and symmetrizes the result, so it
     is exactly hermitian. A caller contracting many subsets of one state
     passes one work buffer for all of them; without it a fresh one is made.
+
+    A result of at most _BLOCK_ELEMS entries is symmetrized in one
+    expression. A larger one is symmetrized in place, one row block
+    r0:r1 at a time: the row strip S[r0:r1, r0:] and the column strip
+    S[r1:, r0:r1] below it are both computed from entries not yet
+    overwritten, each with the one-expression arithmetic, so every bit
+    (signed zeros too) matches; mirroring conj(S[i, j]) into S[j, i]
+    would flip the sign of zero parts. The working set is the d x d
+    result plus two blocks.
     """
     order = kept + dropped
     dk = math.prod(t.shape[i] for i in kept)
@@ -302,7 +363,26 @@ def _contract_pure(t: np.ndarray, kept: list[int], dropped: list[int],
     np.conjugate(m, out=m_conj)
     mat = m @ m_conj.T
     # enforce exact hermiticity against rounding in the contraction
-    return 0.5 * (mat + mat.conj().T)
+    if mat.size <= _BLOCK_ELEMS:
+        return 0.5 * (mat + mat.conj().T)
+    step = max(1, _BLOCK_ELEMS // dk)
+    upper = np.empty(step * dk, dtype=complex)
+    lower = np.empty(step * dk, dtype=complex)
+    for r0 in range(0, dk, step):
+        r1 = min(r0 + step, dk)
+        row = _half_sum(mat[r0:r1, r0:], mat[r0:, r0:r1], upper)
+        col = _half_sum(mat[r1:, r0:r1], mat[r0:r1, r1:], lower)
+        mat[r0:r1, r0:] = row
+        mat[r1:, r0:r1] = col
+    return mat
+
+
+def _half_sum(a: np.ndarray, b: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """0.5 * (a + b^H) computed in the front of the flat buffer buf."""
+    out = buf[:a.size].reshape(a.shape)
+    np.conjugate(b.T, out=out)
+    np.add(a, out, out=out)
+    return np.multiply(0.5, out, out=out)
 
 
 @dataclass(frozen=True)
@@ -358,13 +438,11 @@ class SchmidtPairState:
         """Uniform-weight state over num_modes modes.
 
         Symbolic by default (no allocation, any size); pass symbolic=False
-        to materialize the weight vector.
+        to materialize the weight vector, which refuses more than
+        MAX_EXPLICIT_MODES modes with ExplicitWeightsRequired.
         """
         state = cls(num_modes=num_modes)  # checks num_modes before any allocation
-        if symbolic:
-            return state
-        n = state.num_modes
-        return cls(num_modes=n, weights=np.full(n, 1.0 / math.sqrt(n), dtype=complex))
+        return state if symbolic else state.materialize()
 
     @property
     def is_symbolic(self) -> bool:
@@ -398,11 +476,10 @@ class SchmidtPairState:
         """Explicit-weight copy of a symbolic flat state (identity otherwise)."""
         if self.weights is not None:
             return self
-        if self.num_modes > 2**26:
-            raise ExplicitWeightsRequired(
-                f"refusing to materialize {self.num_modes} flat weights"
-            )
-        return SchmidtPairState.flat(self.num_modes, symbolic=False)
+        n = self.num_modes
+        if n > MAX_EXPLICIT_MODES:
+            raise ExplicitWeightsRequired(f"refusing to materialize {n} flat weights")
+        return SchmidtPairState(num_modes=n, weights=np.full(n, 1.0 / math.sqrt(n), dtype=complex))
 
 
 def schmidt_to_dense(
@@ -446,4 +523,4 @@ def schmidt_reduce(s: SchmidtPairState, side: str = "A") -> DensityMatrix:
         diag[:] = p
     else:
         diag[s.pairing_values() - 1] = p
-    return DensityMatrix((FactorSpace(side, m),), np.diag(diag).astype(complex))
+    return DensityMatrix((FactorSpace(side, m),), _Fresh(np.diag(diag).astype(complex)))

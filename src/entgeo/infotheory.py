@@ -133,7 +133,11 @@ def mutual_information(
     s_a = von_neumann_entropy(partial_trace(rho, part_a), base=base)
     s_b = von_neumann_entropy(partial_trace(rho, part_b), base=base)
     s_ab = von_neumann_entropy(rho, base=base)
-    mi = s_a + s_b - s_ab
+    return _nonnegative_mi(s_a + s_b - s_ab)
+
+
+def _nonnegative_mi(mi: float) -> float:
+    """mi itself, checked not to be negative beyond eigensolver noise."""
     if mi < -1e-9:
         raise ArithmeticError(f"mutual information came out negative: {mi}")
     return mi

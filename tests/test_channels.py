@@ -174,6 +174,42 @@ class TestApplyLocal:
             LocalPerturbation(np.ones((2, 2)), ("A",))
 
 
+class TestPerturbationChecks:
+    """Both perturbation kinds share one labels-and-unitary check, and
+    apply_local and apply_nonlocal one unknown-factor check."""
+
+    @staticmethod
+    def make(kind, unitary, labels):
+        if kind == "local":
+            return LocalPerturbation(unitary, labels)
+        return NonLocalPerturbation(unitary=unitary, labels=labels,
+                                    env_factors=(FactorSpace("E", 2),),
+                                    env_state=np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("kind", ["local", "nonlocal"])
+    @pytest.mark.parametrize("labels", [(), ("B", "B")])
+    def test_labels_must_be_non_empty_and_unique(self, kind, labels):
+        with pytest.raises(ValueError, match=r"^labels must be non-empty and unique$"):
+            self.make(kind, np.eye(4, dtype=complex), labels)
+
+    @pytest.mark.parametrize("kind", ["local", "nonlocal"])
+    def test_unitary_is_checked_and_locked(self, kind):
+        message = r"^unitary is not unitary: max \|U\^dag U - I\| = 1\.0$"
+        with pytest.raises(ValueError, match=message):
+            self.make(kind, np.diag([1.0, 0.0, 1.0, 1.0]), ["B"])
+        pert = self.make(kind, np.eye(4), ["B"])
+        assert pert.labels == ("B",)
+        assert not pert.unitary.flags.writeable
+
+    @pytest.mark.parametrize("kind", ["local", "nonlocal"])
+    def test_unknown_factors_have_one_message(self, kind):
+        psi = PureState(qubits(("A", "B")), BELL)
+        pert = self.make(kind, np.eye(2 if kind == "local" else 4, dtype=complex), ("Z",))
+        apply = apply_local if kind == "local" else apply_nonlocal
+        with pytest.raises(ValueError, match=r"^perturbation touches unknown factors \['Z'\]$"):
+            apply(psi, pert, (("A",), ("B",)))
+
+
 class TestApplyNonlocal:
     def env_pert(self, unitary, labels):
         return NonLocalPerturbation(

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import entgeo.geometry
 import entgeo.hilbert
 import entgeo.infotheory
 from entgeo.channels import DecoherenceSchedule, decoherence_sweep, haar_random_state
@@ -60,6 +61,12 @@ class TestInfoGraph:
         assert set(graph.edges) == {("A", "B")}
         assert abs(graph.mutual_info("A", "B") - 2 * LOG2) < 1e-10
         assert graph.mutual_info("A", "C") is None
+
+    def test_negative_mi_raises_as_mutual_information_does(self, monkeypatch):
+        monkeypatch.setattr(entgeo.geometry, "_matrix_entropies",
+                            lambda mats: [1.0 if mats.shape[-1] == 4 else 0.0] * len(mats))
+        with pytest.raises(ArithmeticError, match=r"^mutual information came out negative: -1\.0$"):
+            build_info_graph(PureState(qubits(("A", "B")), BELL))
 
     def test_ghz_three_equal_edges(self):
         graph = build_info_graph(ghz(("A", "B", "C")))

@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entgeo import hilbert
 from entgeo.hilbert import (
+    MAX_EXPLICIT_MODES,
     DensityMatrix,
     ExplicitWeightsRequired,
     FactorSpace,
@@ -28,6 +31,27 @@ BELL = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
 
 def qubit_state(label: str, amps) -> PureState:
     return PureState(qubits((label,)), amps)
+
+
+class traced_peak:
+    """Context manager tracing allocations (numpy reports its own to
+    tracemalloc); calling the value it gives returns the peak in bytes
+    above the traced memory at entry."""
+
+    def __enter__(self):
+        self.started = not tracemalloc.is_tracing()
+        if self.started:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        self.entry = tracemalloc.get_traced_memory()[0]
+        self.peak = None
+        return lambda: self.peak
+
+    def __exit__(self, *exc):
+        self.peak = tracemalloc.get_traced_memory()[1] - self.entry
+        if self.started:
+            tracemalloc.stop()
+        return False
 
 
 class TestFactorSpace:
@@ -290,6 +314,23 @@ class TestSchmidtPairState:
         with pytest.raises(ExplicitWeightsRequired):
             SchmidtPairState.flat(10**29).materialize()
 
+    @pytest.mark.parametrize("n", [2**40, 10**400])
+    def test_materialized_flat_refuses_before_allocating(self, n):
+        with traced_peak() as peak:
+            with pytest.raises(ExplicitWeightsRequired, match="refusing to materialize"):
+                SchmidtPairState.flat(n, symbolic=False)
+        assert peak() < 2**20
+
+    def test_flat_and_materialize_share_one_limit(self, monkeypatch):
+        assert MAX_EXPLICIT_MODES == 2**26
+        monkeypatch.setattr(hilbert, "MAX_EXPLICIT_MODES", 8)
+        assert SchmidtPairState.flat(8, symbolic=False).num_modes == 8
+        assert SchmidtPairState.flat(8).materialize().num_modes == 8
+        with pytest.raises(ExplicitWeightsRequired):
+            SchmidtPairState.flat(9, symbolic=False)
+        with pytest.raises(ExplicitWeightsRequired):
+            SchmidtPairState.flat(9).materialize()
+
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(3)
         w = rng.standard_normal(6) + 1j * rng.standard_normal(6)
@@ -354,3 +395,157 @@ class TestSchmidtDense:
         s = SchmidtPairState.from_weights(w / np.linalg.norm(w))
         psi = schmidt_to_dense(s)
         assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-12
+
+
+# The dense path before row blocks, kept as the reference its bits must match.
+def reference_contract(t, kept, dropped):
+    order = kept + dropped
+    dk = math.prod(t.shape[i] for i in kept)
+    m = np.transpose(t, order).reshape(dk, -1).copy()
+    mat = m @ np.conjugate(m).T
+    return 0.5 * (mat + mat.conj().T)
+
+
+def reference_check(mats):
+    herm_err = np.maximum.reduce(np.abs(mats - mats.conj().swapaxes(1, 2)), axis=(1, 2))
+    traces = mats.trace(axis1=1, axis2=2)
+    for k, (err, tr) in enumerate(zip(herm_err.tolist(), traces.tolist())):
+        if err > 1e-10:
+            raise ValueError(f"matrix not hermitian: max |rho - rho^dag| = {herm_err[k]}")
+        if abs(tr - 1.0) > 1e-10:
+            raise ValueError(f"matrix trace must be 1, got {traces[k]}")
+
+
+def check_message(check, mats):
+    try:
+        check(mats)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def amplitude_tensor(dims, seed, real=False):
+    rng = np.random.default_rng(seed)
+    d = math.prod(dims)
+    v = rng.standard_normal(d) + (0 if real else 1j * rng.standard_normal(d))
+    return (v / np.linalg.norm(v)).astype(complex).reshape(dims)
+
+
+# kept dimension d: 512 fits one block, 1024 and 2048 split into whole row
+# blocks, 3**7 leaves a last block of 2187 - 18 * 119 = 85 rows
+BLOCK_DIMS = {
+    512: ((2,) * 11, 9),
+    1024: ((2,) * 12, 10),
+    2048: ((2,) * 12, 11),
+    3**7: ((3,) * 8, 7),
+}
+
+
+class TestRowBlockedDensePath:
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    @pytest.mark.parametrize("d", list(BLOCK_DIMS))
+    def test_contract_matches_one_expression_bit_for_bit(self, d, real):
+        dims, n_kept = BLOCK_DIMS[d]
+        t = amplitude_tensor(dims, seed=d, real=real)
+        kept = list(range(len(dims) - n_kept, len(dims)))[::-1]
+        dropped = [i for i in range(len(dims)) if i not in kept]
+        got = hilbert._contract_pure(t, kept, dropped)
+        assert got.shape == (d, d)
+        # tobytes, so a zero whose sign flipped counts as a difference
+        assert got.tobytes() == reference_contract(t, kept, dropped).tobytes()
+
+    @pytest.mark.parametrize("block_elems", [1, 7, 64, 100, 700])
+    def test_contract_matches_with_tiny_blocks(self, monkeypatch, block_elems):
+        monkeypatch.setattr(hilbert, "_BLOCK_ELEMS", block_elems)
+        for real in (False, True):
+            t = amplitude_tensor((3, 2, 3, 2), seed=block_elems, real=real)
+            for kept in ([0, 2], [2, 0, 1], [3]):
+                dropped = [i for i in range(4) if i not in kept]
+                got = hilbert._contract_pure(t, kept, dropped)
+                assert got.tobytes() == reference_contract(t, kept, dropped).tobytes()
+
+    @pytest.mark.parametrize("d", list(BLOCK_DIMS))
+    def test_hermiticity_check_matches_one_expression(self, d):
+        last = d - 1  # in the last row block, a partial one for 3**7
+        mats = np.eye(d, dtype=complex)[None] / d
+        # name: (entries bumped, start of the expected message or None);
+        # an off-diagonal bump shows in two rows, (i, j) and (j, i), so the
+        # bumps meant for one row block sit on the diagonal
+        herm = "matrix not hermitian: max |rho - rho^dag| = "
+        cases = {
+            "clean": ([], None),
+            "first block": ([((0, 5), 1e-6)], herm + "1e-06"),
+            "last block": ([((last, last), 2e-6j)], herm + "4e-06"),
+            "diagonal": ([((d // 2, d // 2), 3e-6j)], herm + "6e-06"),
+            "largest last": ([((1, 1), 1e-6j), ((last, last), 2e-6j)], herm + "4e-06"),
+            "largest first": ([((1, 1), 3e-6j), ((last, last), 2e-6j)], herm + "6e-06"),
+            # a NaN maximum compares false, so it hides the other entry: the
+            # one-expression check lets such a matrix through, and so must the
+            # blocked one (an fmax join would drop the NaN and raise)
+            "nan last": ([((1, 1), 1e-6j), ((last, last), math.nan)], None),
+            "nan first": ([((0, 0), math.nan), ((last, last), 1e-6j)], None),
+            "trace": ([((d // 3, d // 3), 1e-6)], "matrix trace must be 1"),
+        }
+        for name, (hits, start) in cases.items():
+            saved = [mats[0, i, j] for (i, j), _ in hits]
+            for (i, j), bump in hits:
+                mats[0, i, j] += bump
+            want = check_message(reference_check, mats)
+            assert check_message(hilbert._check_density_stack, mats) == want, name
+            assert want is None if start is None else want.startswith(start), (name, want)
+            for ((i, j), _), value in zip(hits, saved):
+                mats[0, i, j] = value
+
+    def test_hermiticity_check_on_a_blocked_stack(self):
+        # 3 x 512 x 512 exceeds one block: rows of all three in each block
+        mats = np.broadcast_to(np.eye(512, dtype=complex) / 512, (3, 512, 512)).copy()
+        mats[1, 511, 511] += 1e-6j
+        mats[2, 0, 7] = math.nan
+        want = check_message(reference_check, mats)
+        assert "hermitian" in want
+        assert check_message(hilbert._check_density_stack, mats) == want
+        mats[1, 511, 511] -= 1e-6j
+        mats[2, 0, 7] = 0.0
+        mats[0, 3, 3] += 1e-6
+        want = check_message(reference_check, mats)
+        assert "trace" in want
+        assert check_message(hilbert._check_density_stack, mats) == want
+
+    def test_public_constructor_keeps_its_own_copy(self):
+        mat = np.diag([0.25, 0.75]).astype(complex)
+        rho = DensityMatrix((FactorSpace("A", 2),), mat)
+        mat[0, 0] = 1.0
+        mat[1, 0] = 0.5
+        np.testing.assert_array_equal(rho.matrix, np.diag([0.25, 0.75]))
+        assert not rho.matrix.flags.writeable
+
+    def test_internal_producers_lock_their_matrix(self):
+        labels = [f"Q{i}" for i in range(11)]
+        psi = PureState(qubits(labels), amplitude_tensor((2,) * 11, 5).reshape(-1))
+        rho = reduced_density(psi, labels[:10])
+        flat = SchmidtPairState.flat(3, symbolic=False)
+        for out in (rho, partial_trace(rho, labels[:3]), schmidt_reduce(flat)):
+            assert not out.matrix.flags.writeable
+            with pytest.raises(ValueError):
+                out.matrix[0, 0] = 1.0
+
+    def test_internal_producers_still_check_the_trace(self):
+        # normalized within ATOL_STRUCT, yet the reduction's trace is off by more
+        v = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0) * (1 + 0.9e-10)
+        psi = PureState(qubits(("A", "B")), v)
+        with pytest.raises(ValueError, match="trace must be 1"):
+            reduced_density(psi, ("A",))
+        with pytest.raises(ValueError, match="trace must be 1"):
+            density_of(psi)
+
+    def test_reduced_density_holds_the_result_plus_three_blocks(self):
+        labels = [f"Q{i}" for i in range(12)]
+        psi = PureState(qubits(labels), amplitude_tensor((2,) * 12, 9).reshape(-1))
+        matrix_bytes = 1024 * 1024 * 16
+        with traced_peak() as peak:
+            rho = reduced_density(psi, labels[:10])
+        # before the row blocks: four matrices, 64 MiB above entry
+        assert peak() < matrix_bytes + 3 * hilbert._BLOCK_ELEMS * 16
+        with traced_peak() as peak:
+            DensityMatrix(rho.factors, rho.matrix)
+        assert peak() < 2 * matrix_bytes

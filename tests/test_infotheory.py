@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import entgeo.infotheory
 from entgeo.hilbert import (
     DensityMatrix,
     FactorSpace,
@@ -116,6 +117,13 @@ class TestVonNeumannEntropy:
 class TestMutualInformation:
     def test_bell_value(self):
         assert abs(mutual_information(bell_density(), (("A",), ("B",))) - 2 * LOG2) < 1e-10
+
+    def test_negative_value_raises(self, monkeypatch):
+        # marginals 0 and joint 1 give I = -1, far below eigensolver noise
+        monkeypatch.setattr(entgeo.infotheory, "von_neumann_entropy",
+                            lambda rho, base=None: 1.0 if rho.dim == 4 else 0.0)
+        with pytest.raises(ArithmeticError, match=r"^mutual information came out negative: -1\.0$"):
+            mutual_information(bell_density(), (("A",), ("B",)))
 
     def test_base_two_bell(self):
         mi = mutual_information(bell_density(), (("A",), ("B",)), base=2)
