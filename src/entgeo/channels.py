@@ -74,7 +74,7 @@ def _check_unitary(u: np.ndarray, what: str) -> np.ndarray:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"{what} must be a square matrix, got shape {u.shape}")
     err = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
-    if err > ATOL_UNITARY:
+    if not err <= ATOL_UNITARY:  # NaN fails too
         raise ValueError(f"{what} is not unitary: max |U^dag U - I| = {err}")
     return u
 
@@ -131,7 +131,7 @@ class NonLocalPerturbation:
         if v.shape != (env_dim,):
             raise ValueError(f"env_state must have length {env_dim}, got {v.shape}")
         nrm = np.linalg.norm(v)
-        if abs(nrm - 1.0) > 1e-10:
+        if not abs(nrm - 1.0) <= 1e-10:  # NaN fails too
             raise ValueError(f"env_state not normalized: |v| = {nrm!r}")
         v.setflags(write=False)
         object.__setattr__(self, "env_state", v)
@@ -245,8 +245,10 @@ class BranchMixture:
     Three orthogonal blocks: a coherent superposition over the retained
     modes, one recorded classical branch per dephased mode, and a fully
     decorrelated product block over the localized modes. Marginals are
-    identical to the source state's, so mutual information is
-    2 H(|w|^2) - S(joint spectrum), all closed-form.
+    identical to the source state's, so the mutual information is
+    closed-form: with R, D, L the retained, dephased and localized mass,
+    h_X = -sum_{n in X} p log p and H(x) = -x log x,
+    MI = 2 h_R - H(R) + h_D + H(L), exact for the probabilities as given.
     """
 
     source: SchmidtPairState
@@ -254,78 +256,33 @@ class BranchMixture:
     localized: frozenset[int]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dephased", frozenset(self.dephased))
-        object.__setattr__(self, "localized", frozenset(self.localized))
+        self.source.require_weights("branch decoherence")
+        m = self.source.num_modes
+        object.__setattr__(self, "dephased", _mode_set(self.dephased, m))
+        object.__setattr__(self, "localized", _mode_set(self.localized, m))
         if self.dephased & self.localized:
             raise ValueError("a mode cannot be both dephased and localized")
-        m = self.source.num_modes
-        for n in self.dephased | self.localized:
-            if int(n) != n or n < 1 or n > m:
-                raise ValueError(f"mode index {n!r} outside 1..{m}")
-        self.source.require_weights("branch decoherence")
-
-    def _blocks(self) -> tuple[float, np.ndarray, np.ndarray]:
-        p = self.source.probabilities()
-        deph_idx = np.array(sorted(self.dephased), dtype=np.int64) - 1
-        loc_idx = np.array(sorted(self.localized), dtype=np.int64) - 1
-        touched = np.zeros(self.source.num_modes, dtype=bool)
-        touched[deph_idx] = True
-        touched[loc_idx] = True
-        p_retained = float(p[~touched].sum())
-        return p_retained, p[deph_idx], p[loc_idx]
-
-    def joint_spectrum(self) -> np.ndarray:
-        """Eigenvalues of the joint state, descending.
-
-        One eigenvalue p_R for the retained coherent block, the branch
-        probability w_n for each dephased mode, and the product spectrum
-        {q_n q_m P_loc} over localized mode pairs.
-        """
-        p_ret, p_deph, p_loc = self._blocks()
-        parts = []
-        if p_ret > 0.0:
-            parts.append(np.array([p_ret]))
-        if p_deph.size:
-            parts.append(p_deph)
-        p_l = float(p_loc.sum())
-        if p_loc.size and p_l > 0.0:
-            q = p_loc / p_l
-            parts.append(p_l * np.outer(q, q).reshape(-1))
-        if not parts:
-            raise ArithmeticError("empty spectrum")
-        lam = np.concatenate(parts)
-        return np.sort(lam)[::-1]
-
-    def marginal_probabilities(self) -> np.ndarray:
-        """Either side's marginal spectrum, which decoherence never moves."""
-        return self.source.probabilities()
-
-    def joint_entropy(self, base: float | None = None) -> float:
-        """S(joint) in closed form, skipping the explicit product spectrum."""
-        p_ret, p_deph, p_loc = self._blocks()
-        s = _neg_xlogx(np.array([p_ret])) + _neg_xlogx(p_deph)
-        p_l = float(p_loc.sum())
-        if p_loc.size and p_l > 0.0:
-            q = p_loc / p_l
-            # -sum_{nm} P q_n q_m log(P q_n q_m) = -P log P + 2 P H(q)
-            s += -p_l * math.log(p_l) + 2.0 * p_l * _neg_xlogx(q)
-        if base is not None:
-            s /= math.log(base)
-        return s
 
     def mutual_info(self, base: float | None = None) -> float:
-        marg = _neg_xlogx(self.source.probabilities())
-        mi = 2.0 * marg - self.joint_entropy()
-        mi = max(mi, 0.0)
+        m = self.source.num_modes
+        blocks = [(_step_indices(modes, m), localizes)
+                  for modes, localizes in ((self.dephased, False), (self.localized, True))
+                  if modes]
+        mi = max(_branch_mis(self.source.probabilities(), blocks)[-1], 0.0)
         if base is not None:
             mi /= math.log(base)
         return mi
 
 
-def _mode_set(source: SchmidtPairState, modes: Iterable[int], op: str) -> frozenset[int]:
-    """modes as ints; BranchMixture checks that they lie in 1..num_modes."""
-    source.require_weights(op)
-    return frozenset(int(n) for n in modes)
+def _mode_set(modes: Iterable[int], num_modes: int) -> frozenset[int]:
+    """modes as ints, each checked to be an integer in 1..num_modes."""
+    modes = frozenset(modes)
+    ints = frozenset(map(int, modes))
+    if ints != modes:  # 2.5 or "3" among them
+        raise ValueError(f"mode {next(iter(modes - ints))!r} outside 1..{num_modes}")
+    if ints:
+        _step_indices(ints, num_modes)
+    return ints
 
 
 def dephase_modes(
@@ -338,7 +295,7 @@ def dephase_modes(
     result's MI can only fall (equality when modes is empty). Returns the
     decohered descriptor and its mutual information.
     """
-    mix = BranchMixture(source=s, dephased=_mode_set(s, modes, "dephase"), localized=frozenset())
+    mix = BranchMixture(source=s, dephased=modes, localized=frozenset())
     return mix, mix.mutual_info(base=base)
 
 
@@ -351,7 +308,7 @@ def localize_modes(
     branch correlations are destroyed, so the MI sits at or below the
     dephased value, reaching zero when every mode is localized.
     """
-    mix = BranchMixture(source=s, dephased=frozenset(), localized=_mode_set(s, modes, "localize"))
+    mix = BranchMixture(source=s, dephased=frozenset(), localized=modes)
     return mix, mix.mutual_info(base=base)
 
 
@@ -429,7 +386,7 @@ class SweepPoint:
 
 
 def _step_indices(modes: frozenset[int], num_modes: int) -> np.ndarray:
-    """Zero-based indices of a step's modes, each checked to lie in 1..num_modes."""
+    """Zero-based indices of a set of modes, each checked to lie in 1..num_modes."""
     try:
         idx = np.fromiter(modes, dtype=np.int64, count=len(modes))
         lo, hi = int(idx.min()), int(idx.max())
@@ -437,8 +394,68 @@ def _step_indices(modes: frozenset[int], num_modes: int) -> np.ndarray:
         lo, hi = min(modes), max(modes)
     for n in (lo, hi):
         if n < 1 or n > num_modes:
-            raise ValueError(f"schedule hits mode {n} outside 1..{num_modes}")
+            raise ValueError(f"mode {n} outside 1..{num_modes}")
     return idx - 1
+
+
+def _mass_entropy(x: float) -> float:
+    """H(x) = -x log x of one mass x >= 0."""
+    return -x * math.log(x) if x > 0.0 else 0.0
+
+
+def _excess_mass(p: np.ndarray) -> float:
+    """sum(p) - 1 to full precision, for up to 2**26 probabilities p.
+
+    p splits into parts on the 2**-30 grid, parts of the rest on the 2**-57
+    grid (adding 1.5 * 2**k rounds to the grid of its binade) and remainders
+    below 2**-58. The gridded parts add exactly; only the remainders round.
+    """
+    excess = -1.0
+    rest = p
+    for splitter in (1.5 * 2.0**22, 1.5 * 2.0**-5):
+        part = rest + splitter
+        part -= splitter
+        excess += float(part.sum())
+        rest = np.subtract(rest, part, out=part)
+    return excess + float(rest.sum())
+
+
+def _branch_mis(p: np.ndarray, blocks: Sequence[tuple[np.ndarray, bool]]) -> list[float]:
+    """The one branch-decoherence kernel: MI before and after each block.
+
+    p are a Schmidt-pair state's probabilities; blocks are disjoint
+    (zero-based indices, localizes) pairs, each applied on top of the
+    earlier ones. MI = 2 h_R - H(R) + h_D + H(L) (see BranchMixture) is
+    2 H(p) - S(joint) with no two large terms cancelling: 2 h_R - H(R) >= h_R,
+    as each p in R is at most R. R and h_R are summed from the back so that
+    a tiny remainder keeps its digits.
+    """
+    untouched = np.ones(p.size, dtype=bool)
+    sums = [(False, 0.0, 0.0)]  # before any block: dephasing nothing
+    for idx, localizes in blocks:
+        untouched[idx] = False
+        block = p[idx]
+        sums.append((localizes, float(block.sum()), _neg_xlogx(block)))
+    rest = p[untouched]
+    retained = [(float(rest.sum()), _neg_xlogx(rest))]
+    for _, mass, h in reversed(sums[1:]):
+        retained.append((retained[-1][0] + mass, retained[-1][1] + h))
+    mis = []
+    excess = None
+    deph = h_deph = loc = 0.0
+    for (r, h_r), (localizes, mass, h) in zip(reversed(retained), sums):
+        if localizes:
+            loc += mass
+        else:
+            deph += mass
+            h_deph += h
+        if loc > 0.5:  # near L = 1, H(L) takes log1p of 1 - L = R + D - (sum(p) - 1)
+            excess = _excess_mass(p) if excess is None else excess
+            h_loc = -loc * math.log1p(excess - (r + deph))
+        else:
+            h_loc = _mass_entropy(loc)
+        mis.append(2.0 * h_r - _mass_entropy(r) + h_deph + h_loc)
+    return mis
 
 
 def decoherence_sweep(
@@ -455,52 +472,26 @@ def decoherence_sweep(
     point at distance exactly 0 and grows as decoherence eats the sum.
     Returns one point per step plus the baseline, schedule order.
 
-    O(modes + steps), one pass over the modes: no BranchMixture is built.
-    Each step's block contributes its mass and -sum p log p to running
-    totals, and the joint entropy follows in closed form (the identity of
-    BranchMixture.joint_entropy). With R the retained mass, L the
-    localized mass and H(x) = -x log x,
-
-        S_joint = H(R) + sum_dephased H(p) - H(L) + 2 sum_localized H(p),
-
-    and the momentum MI is I_0 - S_joint with I_0 = 2 H(p) the step-0 value,
-    clamped to [0, I_0]: an entropy is nonnegative, so decoherence never
-    raises MI, not even by round-off.
+    O(modes + steps), one pass over the modes: the steps are the blocks
+    of _branch_mis, whose one formula MI = 2 h_R - H(R) + h_D + H(L)
+    gives each step's momentum MI, exact for the probabilities as given.
+    It is clamped to [0, I_0], with I_0 = 2 H(p) the step-0 value, so
+    decoherence never raises MI, not even by round-off.
     """
     if spin_mi < 0.0:
         raise ValueError(f"spin_mi must be nonnegative, got {spin_mi}")
     s.require_weights("decoherence sweep")
-    p = s.probabilities()
-    untouched = np.ones(s.num_modes, dtype=bool)
-    blocks = []
-    for step in schedule.steps:
-        idx = _step_indices(step.modes, s.num_modes)
-        untouched[idx] = False
-        block = p[idx]
-        blocks.append((float(block.sum()), _neg_xlogx(block)))
+    blocks = [(_step_indices(step.modes, s.num_modes), step.channel == "localize")
+              for step in schedule.steps]
+    mis = _branch_mis(s.probabilities(), blocks)
     mom0 = mutual_information_schmidt(s)
     total0 = spin_mi + mom0
     if total0 <= 0.0:
         raise ValueError("initial total MI is zero; nothing to normalize distances against")
     points = [SweepPoint(step=0, momentum_mi=mom0, total_mi=total0,
                          distance=edge_weight(total0, total0, wf))]
-    # Mass retained after each step: the never-hit modes plus every later
-    # block, summed from the back so that a tiny remainder keeps its digits
-    # (1 - hit mass would cancel them away).
-    retained = [float(p[untouched].sum())]
-    for mass, _ in reversed(blocks[1:]):
-        retained.append(retained[-1] + mass)
-    retained.reverse()
-    loc_mass = h_dephased = h_localized = 0.0
-    for k, (step, (mass, h), r) in enumerate(zip(schedule.steps, blocks, retained), start=1):
-        if step.channel == "dephase":
-            h_dephased += h
-        else:
-            loc_mass += mass
-            h_localized += h
-        s_joint = (_neg_xlogx(np.array([r])) + h_dephased
-                   - _neg_xlogx(np.array([loc_mass])) + 2.0 * h_localized)
-        mom = max(mom0 - max(s_joint, 0.0), 0.0)
+    for k, mi in enumerate(mis[1:], start=1):
+        mom = min(max(mi, 0.0), mom0)
         total = spin_mi + mom
         points.append(SweepPoint(step=k, momentum_mi=mom, total_mi=total,
                                  distance=edge_weight(total, total0, wf)))

@@ -72,13 +72,17 @@ def _factor_tuple(factors: Iterable[FactorSpace]) -> tuple[FactorSpace, ...]:
     return factors
 
 
-def _cap_error(dim_counts: Mapping[int, int], cap: int) -> ValueError:
-    """The dense-cap error for the joint dimension prod d**m over dim_counts,
-    given as a power of ten past 4000 digits (str() refuses 4300)."""
+def _count_text(dim_counts: Mapping[int, int]) -> str:
+    """prod d**m over dim_counts in full, or as "about 1eK" past 4000 digits
+    (str() refuses 4300)."""
     counts = dim_counts.items()
     log10 = sum(m * math.log10(d) for d, m in counts)
-    dim = math.prod(d**m for d, m in counts) if log10 < 4000 else f"about 1e{int(log10)}"
-    return ValueError(f"joint dimension {dim} exceeds dense cap {cap}")
+    return str(math.prod(d**m for d, m in counts)) if log10 < 4000 else f"about 1e{int(log10)}"
+
+
+def _cap_error(dim_counts: Mapping[int, int], cap: int) -> ValueError:
+    """The dense-cap error for the joint dimension prod d**m over dim_counts."""
+    return ValueError(f"joint dimension {_count_text(dim_counts)} exceeds dense cap {cap}")
 
 
 @dataclass(frozen=True)
@@ -152,7 +156,7 @@ class PureState:
     def __post_init__(self) -> None:
         amp = _as_locked_complex(self.amplitudes, self.tps.total_dim, "amplitudes")
         nrm = np.linalg.norm(amp)
-        if abs(nrm - 1.0) > ATOL_STRUCT:
+        if not abs(nrm - 1.0) <= ATOL_STRUCT:  # NaN fails too
             raise ValueError(f"state not normalized: |psi| = {nrm!r}")
         object.__setattr__(self, "amplitudes", amp)
 
@@ -184,9 +188,9 @@ def _check_density_stack(mats: np.ndarray) -> None:
                 np.abs(mats[:, rows] - mats[:, :, rows].conj().swapaxes(1, 2)), axis=(1, 2)))
     traces = mats.trace(axis1=1, axis2=2)
     for k, (err, tr) in enumerate(zip(herm_err.tolist(), traces.tolist())):
-        if err > ATOL_STRUCT:
+        if not err <= ATOL_STRUCT:  # NaN fails too
             raise ValueError(f"matrix not hermitian: max |rho - rho^dag| = {herm_err[k]}")
-        if abs(tr - 1.0) > ATOL_STRUCT:
+        if not abs(tr - 1.0) <= ATOL_STRUCT:
             raise ValueError(f"matrix trace must be 1, got {traces[k]}")
 
 
@@ -416,7 +420,7 @@ class SchmidtPairState:
             return
         w = _as_locked_complex(self.weights, self.num_modes, "weights")
         nrm = np.linalg.norm(w)
-        if abs(nrm - 1.0) > ATOL_STRUCT:
+        if not abs(nrm - 1.0) <= ATOL_STRUCT:  # NaN fails too
             raise ValueError(f"weights not normalized: |w| = {nrm!r}")
         object.__setattr__(self, "weights", w)
         if self.pairing is not None:
@@ -452,7 +456,7 @@ class SchmidtPairState:
         if self.weights is None:
             raise ExplicitWeightsRequired(
                 f"{op} needs explicit Schmidt weights; this state is symbolic "
-                f"flat over {self.num_modes} modes"
+                f"flat over {_count_text({self.num_modes: 1})} modes"
             )
         return self.weights
 
@@ -478,7 +482,8 @@ class SchmidtPairState:
             return self
         n = self.num_modes
         if n > MAX_EXPLICIT_MODES:
-            raise ExplicitWeightsRequired(f"refusing to materialize {n} flat weights")
+            raise ExplicitWeightsRequired(
+                f"refusing to materialize {_count_text({n: 1})} flat weights")
         return SchmidtPairState(num_modes=n, weights=np.full(n, 1.0 / math.sqrt(n), dtype=complex))
 
 

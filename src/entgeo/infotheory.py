@@ -93,9 +93,9 @@ def _check_spectra(spectra: np.ndarray, negative: str) -> None:
     lows = np.minimum.reduce(spectra, axis=1)
     totals = np.add.reduce(spectra, axis=1)
     for k, (low, total) in enumerate(zip(lows.tolist(), totals.tolist())):
-        if low < -NEG_TOL:
+        if not low >= -NEG_TOL:  # NaN fails too
             raise ValueError(f"{negative} {lows[k]}")
-        if abs(total - 1.0) > 1e-8:
+        if not abs(total - 1.0) <= 1e-8:
             raise ValueError(f"spectrum must sum to 1, got {totals[k]!r}")
 
 
@@ -313,7 +313,7 @@ def correlation_lower_bound(
             f"got {oc.shape} and {od.shape}"
         )
     for name, o in (("obs_c", oc), ("obs_d", od)):
-        if np.abs(o - o.conj().T).max() > 1e-10:
+        if not np.abs(o - o.conj().T).max() <= 1e-10:  # NaN fails too
             raise ValueError(f"{name} must be hermitian")
     nc, nd = operator_norm(oc), operator_norm(od)
     if nc <= 0.0 or nd <= 0.0:

@@ -56,6 +56,17 @@ def localize_oracle(weights, modes) -> float:
 
 def mixed_channel_oracle(weights, dephased, localized) -> float:
     """MI when some modes are branch-recorded and others fully decorrelated."""
+    m = np.asarray(weights).reshape(-1).shape[0]
+    return raw_mi(mixed_channel_rho(weights, dephased, localized), m, m)
+
+
+def mixed_channel_rho(weights, dephased, localized) -> np.ndarray:
+    """Dense joint density matrix after dephasing and localizing mode sets.
+
+    A coherent (unnormalized) block over the untouched modes, one branch
+    projector of weight p_n per dephased mode, and p_L tau_A x tau_B over
+    the localized modes, each tau the normalized diagonal marginal there.
+    """
     w = np.asarray(weights, dtype=complex).reshape(-1)
     m = w.shape[0]
     p = np.abs(w) ** 2
@@ -87,7 +98,7 @@ def mixed_channel_oracle(weights, dephased, localized) -> float:
             tau_a[n - 1, n - 1] = p[n - 1] / p_loc
             tau_b[m - n, m - n] = p[n - 1] / p_loc
         rho = rho + p_loc * np.kron(tau_a, tau_b)
-    return raw_mi(rho, m, m)
+    return rho
 
 
 def random_weights(rng: np.random.Generator, num_modes: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -30,7 +31,13 @@ from entgeo.hilbert import (
 )
 from entgeo.infotheory import mutual_information_schmidt
 
-from oracles import dephase_oracle, localize_oracle, mixed_channel_oracle, random_weights
+from oracles import (
+    dephase_oracle,
+    localize_oracle,
+    mixed_channel_oracle,
+    mixed_channel_rho,
+    random_weights,
+)
 
 LOG2 = math.log(2.0)
 BELL = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
@@ -356,11 +363,16 @@ class TestLocalizeModes:
             assert mi_loc <= mi_deph + 1e-12
 
     def test_marginals_untouched(self):
-        s = SchmidtPairState.from_weights(random_weights(np.random.default_rng(4), 6))
-        mix, _ = localize_modes(s, {2, 3})
-        np.testing.assert_allclose(
-            mix.marginal_probabilities(), s.probabilities(), atol=1e-15
-        )
+        # both marginals of the dense decohered state are diag(p), so the
+        # closed form's 2 H(p) holds for any localized set
+        w = random_weights(np.random.default_rng(4), 6)
+        s = SchmidtPairState.from_weights(w)
+        _, mi = localize_modes(s, {2, 3})
+        t = mixed_channel_rho(w, (), {2, 3}).reshape(6, 6, 6, 6)
+        p = s.probabilities()
+        np.testing.assert_allclose(np.einsum("ibjb->ij", t), np.diag(p), atol=1e-15)
+        np.testing.assert_allclose(np.einsum("aiaj->ij", t), np.diag(p[::-1]), atol=1e-15)
+        assert abs(mi - mixed_channel_oracle(w, (), {2, 3})) < 1e-10
 
 
 class TestBranchMixture:
@@ -369,12 +381,16 @@ class TestBranchMixture:
             BranchMixture(source=flat(4), dephased=frozenset({1}), localized=frozenset({1}))
 
     def test_joint_spectrum_is_a_distribution(self):
-        s = SchmidtPairState.from_weights(random_weights(np.random.default_rng(12), 7))
+        w = random_weights(np.random.default_rng(12), 7)
+        s = SchmidtPairState.from_weights(w)
         mix = BranchMixture(source=s, dephased=frozenset({1, 3}), localized=frozenset({5, 6}))
-        lam = mix.joint_spectrum()
+        lam = np.linalg.eigvalsh(mixed_channel_rho(w, {1, 3}, {5, 6}))
         assert abs(lam.sum() - 1.0) < 1e-12
-        assert np.all(lam >= 0.0)
-        assert np.all(np.diff(lam) <= 1e-15)  # descending
+        assert lam.min() >= -1e-12
+        lam = lam[lam > 1e-12]
+        p = s.probabilities()
+        s_joint = float(-(lam * np.log(lam)).sum())
+        assert abs(mix.mutual_info() - (2.0 * float(-(p * np.log(p)).sum()) - s_joint)) < 1e-10
 
     def test_mixed_channels_match_oracle(self):
         rng = np.random.default_rng(91)
@@ -647,3 +663,87 @@ class TestTinyProbabilities:
             if spin_mi + base > 0.0:
                 decoherence_sweep(s, DecoherenceSchedule(steps), spin_mi=spin_mi,
                                   wf=neg_log_weight())
+
+
+def decimal_terms(p):
+    """Each float probability as an exact Decimal, and -p ln p at 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        dp = [Decimal(float(x)) for x in p]
+        return dp, [-x * x.ln() if x > 0 else Decimal(0) for x in dp]
+
+
+def decimal_branch_mis(terms, blocks):
+    """MI before and after each (modes, channel) block, at 50 digits.
+
+    Exact for the float probabilities of decimal_terms as given, from
+    running block sums in the textbook form I_0 - S_joint with
+    S_joint = H(R) + h_D + 2 h_L - H(L): the cancellation the library
+    avoids costs nothing at 50 digits.
+    """
+    dp, dh = terms
+    with localcontext() as ctx:
+        ctx.prec = 50
+
+        def neg_xlogx(x):
+            return -x * x.ln() if x > 0 else Decimal(0)
+
+        i0 = 2 * sum(dh)
+        retained = sum(dp)
+        h_deph = loc = h_loc = Decimal(0)
+        out = [i0 - neg_xlogx(retained)]
+        for modes, channel in blocks:
+            mass = sum(dp[n - 1] for n in modes)
+            retained -= mass
+            if channel == "dephase":
+                h_deph += sum(dh[n - 1] for n in modes)
+            else:
+                loc += mass
+                h_loc += sum(dh[n - 1] for n in modes)
+            out.append(i0 - (neg_xlogx(retained) + h_deph + 2 * h_loc - neg_xlogx(loc)))
+        return [float(x) for x in out]
+
+
+def worst_relative_error(got, ref):
+    """Largest |got - ref| / ref over the entries whose ref is >= 1e-12."""
+    return max(abs(g - r) / r for g, r in zip(got, ref) if r >= 1e-12)
+
+
+class TestDecimalReference:
+    """Steep spectra p_n ~ n^-k on 4096 modes: late in a localize sweep
+    MI << 2 H(p), where I_0 - S_joint in floats kept only 1e-4 of its
+    digits (k = 6)."""
+
+    @pytest.fixture(scope="class", params=[3, 6])
+    def steep(self, request):
+        q = np.arange(1, 4097, dtype=float) ** -float(request.param)
+        s = SchmidtPairState.from_weights(np.sqrt(q / q.sum()))
+        return request.param, s, decimal_terms(s.probabilities())
+
+    @pytest.mark.parametrize("channel", ["localize", "dephase"])
+    def test_sweep_keeps_its_digits(self, steep, channel):
+        _, s, terms = steep
+        sched = DecoherenceSchedule.ir_first(4096, 64, channel)
+        ref = decimal_branch_mis(terms, [(step.modes, step.channel) for step in sched.steps])
+        points = decoherence_sweep(s, sched, spin_mi=0.0, wf=neg_log_weight())
+        assert worst_relative_error([pt.momentum_mi for pt in points], ref) <= 1e-9
+
+    def test_branch_mixture_keeps_its_digits(self, steep):
+        k, s, terms = steep
+        perm = [int(n) for n in np.random.default_rng(k).permutation(4096) + 1]
+        mode_sets = [
+            (range(1, 1001), range(1001, 4001)),
+            (range(4001, 4097), range(1, 4001)),
+            (range(4090, 4097), range(1, 4090)),
+            (range(1, 4096), range(4096, 4097)),
+            (perm[:100], perm[100:4000]),
+            (perm[:2000], perm[2000:4090]),
+            (perm[:5], perm[5:]),
+        ]
+        got, ref = [], []
+        for deph, loc in mode_sets:
+            deph, loc = frozenset(deph), frozenset(loc)
+            got.append(BranchMixture(s, deph, loc).mutual_info())
+            ref.append(decimal_branch_mis(terms, [(deph, "dephase"), (loc, "localize")])[-1])
+        assert sum(r >= 1e-12 for r in ref) >= 5
+        assert worst_relative_error(got, ref) <= 1e-9

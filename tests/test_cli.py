@@ -188,9 +188,10 @@ class TestMomentumSweep:
         assert code == 2
         assert "channel" in err
 
-    # Pinned bytes of committed configurations, sweeps and graphs alike.
-    # JSON (full repr), property-suite (worst violations are LAPACK
-    # round-off) and --spin-mi 0 (whose fully localized row is -log of a
+    # Pinned bytes of committed configurations: sweeps, graphs and the
+    # property suite, whose worst violations print round-off residues, so
+    # any change to a kernel's arithmetic shows there first. Sweep JSON
+    # (full repr) and --spin-mi 0 (whose fully localized row is -log of a
     # round-off residual or inf) are left out: their last bits depend on
     # summation order. Explicit ids keep each entry's "<file>-flags<k>" name
     # stable as entries are added.
@@ -211,6 +212,16 @@ class TestMomentumSweep:
          ("--state", "random", "--seed", "5")),
         ("graph-reconstruct_random_10q_seed7.csv", "graph-reconstruct",
          ("--state", "random", "--n-qubits", "10", "--seed", "7")),
+        ("property-suite_trials100_seed3.csv", "property-suite",
+         ("--trials", "100", "--seed", "3")),
+        ("property-suite_trials100_seed1.csv", "property-suite",
+         ("--trials", "100", "--seed", "1")),
+        ("property-suite_trials100_seed7.csv", "property-suite",
+         ("--trials", "100", "--seed", "7")),
+        ("property-suite_trials100_seed3.json", "property-suite",
+         ("--trials", "100", "--seed", "3", "--format", "json")),
+        ("property-suite_trials5_seed3.json", "property-suite",
+         ("--trials", "5", "--seed", "3", "--format", "json")),
     ]
 
     @pytest.mark.parametrize(

@@ -321,6 +321,16 @@ class TestSchmidtPairState:
                 SchmidtPairState.flat(n, symbolic=False)
         assert peak() < 2**20
 
+    def test_astronomical_counts_print_as_powers_of_ten(self):
+        # str() refuses a 5001-digit count; the messages use the cap error's 1eK form
+        s = SchmidtPairState.flat(10**5000)
+        with traced_peak() as peak:
+            with pytest.raises(ExplicitWeightsRequired, match="materialize about 1e5000 flat"):
+                s.materialize()
+            with pytest.raises(ExplicitWeightsRequired, match="flat over about 1e5000 modes"):
+                s.require_weights("probabilities")
+        assert peak() < 2**20
+
     def test_flat_and_materialize_share_one_limit(self, monkeypatch):
         assert MAX_EXPLICIT_MODES == 2**26
         monkeypatch.setattr(hilbert, "MAX_EXPLICIT_MODES", 8)
@@ -410,9 +420,9 @@ def reference_check(mats):
     herm_err = np.maximum.reduce(np.abs(mats - mats.conj().swapaxes(1, 2)), axis=(1, 2))
     traces = mats.trace(axis1=1, axis2=2)
     for k, (err, tr) in enumerate(zip(herm_err.tolist(), traces.tolist())):
-        if err > 1e-10:
+        if not err <= 1e-10:
             raise ValueError(f"matrix not hermitian: max |rho - rho^dag| = {herm_err[k]}")
-        if abs(tr - 1.0) > 1e-10:
+        if not abs(tr - 1.0) <= 1e-10:
             raise ValueError(f"matrix trace must be 1, got {traces[k]}")
 
 
@@ -479,11 +489,10 @@ class TestRowBlockedDensePath:
             "diagonal": ([((d // 2, d // 2), 3e-6j)], herm + "6e-06"),
             "largest last": ([((1, 1), 1e-6j), ((last, last), 2e-6j)], herm + "4e-06"),
             "largest first": ([((1, 1), 3e-6j), ((last, last), 2e-6j)], herm + "6e-06"),
-            # a NaN maximum compares false, so it hides the other entry: the
-            # one-expression check lets such a matrix through, and so must the
-            # blocked one (an fmax join would drop the NaN and raise)
-            "nan last": ([((1, 1), 1e-6j), ((last, last), math.nan)], None),
-            "nan first": ([((0, 0), math.nan), ((last, last), 1e-6j)], None),
+            # a NaN maximum fails the check and is the one reported, in
+            # every block (an fmax join would drop it and report the other)
+            "nan last": ([((1, 1), 1e-6j), ((last, last), math.nan)], herm + "nan"),
+            "nan first": ([((0, 0), math.nan), ((last, last), 1e-6j)], herm + "nan"),
             "trace": ([((d // 3, d // 3), 1e-6)], "matrix trace must be 1"),
         }
         for name, (hits, start) in cases.items():
