@@ -249,40 +249,65 @@ class BranchMixture:
     closed-form: with R, D, L the retained, dephased and localized mass,
     h_X = -sum_{n in X} p log p and H(x) = -x log x,
     MI = 2 h_R - H(R) + h_D + H(L), exact for the probabilities as given.
+    dephased and localized hold disjoint sorted int64 mode arrays (unhashable, as PureState).
     """
 
     source: SchmidtPairState
-    dephased: frozenset[int]
-    localized: frozenset[int]
+    dephased: np.ndarray
+    localized: np.ndarray
 
     def __post_init__(self) -> None:
         self.source.require_weights("branch decoherence")
-        m = self.source.num_modes
-        object.__setattr__(self, "dephased", _mode_set(self.dephased, m))
-        object.__setattr__(self, "localized", _mode_set(self.localized, m))
-        if self.dephased & self.localized:
-            raise ValueError("a mode cannot be both dephased and localized")
+        for name in ("dephased", "localized"):
+            modes = _modes(getattr(self, name))
+            _check_range(modes, self.source.num_modes)
+            object.__setattr__(self, name, modes)
+        _check_disjoint((self.dephased, self.localized), "are both dephased and localized")
 
     def mutual_info(self, base: float | None = None) -> float:
-        m = self.source.num_modes
-        blocks = [(_step_indices(modes, m), localizes)
-                  for modes, localizes in ((self.dephased, False), (self.localized, True))
-                  if modes]
+        blocks = [(modes, localizes) for modes, localizes
+                  in ((self.dephased, False), (self.localized, True)) if modes.size]
         mi = max(_branch_mis(self.source.probabilities(), blocks)[-1], 0.0)
         if base is not None:
             mi /= math.log(base)
         return mi
 
 
-def _mode_set(modes: Iterable[int], num_modes: int) -> frozenset[int]:
-    """modes as ints, each checked to be an integer in 1..num_modes."""
-    modes = frozenset(modes)
-    ints = frozenset(map(int, modes))
-    if ints != modes:  # 2.5 or "3" among them
-        raise ValueError(f"mode {next(iter(modes - ints))!r} outside 1..{num_modes}")
-    if ints:
-        _step_indices(ints, num_modes)
-    return ints
+def _modes(modes: Iterable[int]) -> np.ndarray:
+    """The one mode-set format: a sorted, repeat-free, read-only int64 array."""
+    if isinstance(modes, np.ndarray) and modes.dtype.kind == "i":
+        idx = np.sort(modes, axis=None).astype(np.int64, copy=False)
+        keep = idx[1:] != idx[:-1]
+        if not keep.all():
+            idx = idx[np.concatenate(([True], keep))]
+    else:
+        modes = list(modes)
+        ints = list(map(int, modes))
+        if ints != modes:  # 2.5 or "3" among them
+            raise ValueError(f"mode {next(n for n in modes if int(n) != n)!r} not an integer")
+        ints = sorted(set(ints))
+        if ints and not -2**63 <= ints[0] <= ints[-1] < 2**63:
+            raise ValueError(f"mode {max(ints, key=abs)} outside 1..{2**63 - 1}")
+        idx = np.array(ints, dtype=np.int64)
+    idx.setflags(write=False)
+    return idx
+
+
+def _check_range(modes: np.ndarray, num_modes: int) -> None:
+    """Raises unless a sorted mode array lies in 1..num_modes."""
+    for n in modes[:1].tolist() + modes[-1:].tolist():
+        if not 1 <= n <= num_modes:
+            raise ValueError(f"mode {n} outside 1..{num_modes}")
+
+
+def _check_disjoint(mode_sets: Sequence[np.ndarray], clash: str) -> None:
+    """Raises naming the modes found in more than one of the mode arrays."""
+    mode_sets = [modes for modes in mode_sets if modes.size]
+    if len(mode_sets) > 1:
+        joined = np.sort(np.concatenate(mode_sets))
+        twice = joined[1:][joined[1:] == joined[:-1]]
+        if twice.size:
+            raise ValueError(f"modes {sorted(set(twice.tolist()))} {clash}")
 
 
 def dephase_modes(
@@ -293,9 +318,9 @@ def dephase_modes(
     Coherences to and among the recorded branches die; the branches
     survive as classical correlations. Marginals are unchanged, and the
     result's MI can only fall (equality when modes is empty). Returns the
-    decohered descriptor and its mutual information.
+    decohered descriptor and its MI, whatever the order of the modes.
     """
-    mix = BranchMixture(source=s, dephased=modes, localized=frozenset())
+    mix = BranchMixture(source=s, dephased=modes, localized=())
     return mix, mix.mutual_info(base=base)
 
 
@@ -308,7 +333,7 @@ def localize_modes(
     branch correlations are destroyed, so the MI sits at or below the
     dephased value, reaching zero when every mode is localized.
     """
-    mix = BranchMixture(source=s, dephased=frozenset(), localized=modes)
+    mix = BranchMixture(source=s, dephased=(), localized=modes)
     return mix, mix.mutual_info(base=base)
 
 
@@ -317,14 +342,14 @@ VALID_CHANNELS = ("dephase", "localize")
 
 @dataclass(frozen=True)
 class ScheduleStep:
-    """Modes newly hit at this step and the channel that hits them."""
+    """Modes newly hit at this step (a sorted int64 array) and the channel that hits them."""
 
-    modes: frozenset[int]
+    modes: np.ndarray
     channel: str
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "modes", frozenset(map(int, self.modes)))
-        if not self.modes:
+        object.__setattr__(self, "modes", _modes(self.modes))
+        if not self.modes.size:
             raise ValueError("a schedule step must hit at least one mode")
         if self.channel not in VALID_CHANNELS:
             raise ValueError(f"channel must be one of {VALID_CHANNELS}, got {self.channel!r}")
@@ -342,11 +367,7 @@ class DecoherenceSchedule:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "steps", tuple(self.steps))
-        seen: set[int] = set()
-        for step in self.steps:
-            if seen & step.modes:
-                raise ValueError(f"modes {sorted(seen & step.modes)} hit by more than one step")
-            seen |= step.modes
+        _check_disjoint([step.modes for step in self.steps], "hit by more than one step")
 
     @classmethod
     def ir_first(cls, num_modes: int, num_steps: int, channel: str) -> "DecoherenceSchedule":
@@ -362,17 +383,7 @@ class DecoherenceSchedule:
         if num_modes < num_steps:
             raise ValueError(f"cannot split {num_modes} modes into {num_steps} non-empty steps")
         chunks = np.array_split(np.arange(1, num_modes + 1), num_steps)
-        return cls(steps=tuple(
-            ScheduleStep(modes=frozenset(chunk.tolist()), channel=channel)
-            for chunk in chunks
-        ))
-
-    @property
-    def all_modes(self) -> frozenset[int]:
-        out: set[int] = set()
-        for step in self.steps:
-            out |= step.modes
-        return frozenset(out)
+        return cls(steps=tuple(ScheduleStep(modes=chunk, channel=channel) for chunk in chunks))
 
 
 @dataclass(frozen=True)
@@ -383,19 +394,6 @@ class SweepPoint:
     momentum_mi: float
     total_mi: float
     distance: float
-
-
-def _step_indices(modes: frozenset[int], num_modes: int) -> np.ndarray:
-    """Zero-based indices of a set of modes, each checked to lie in 1..num_modes."""
-    try:
-        idx = np.fromiter(modes, dtype=np.int64, count=len(modes))
-        lo, hi = int(idx.min()), int(idx.max())
-    except OverflowError:  # a mode beyond int64 is out of range anyway
-        lo, hi = min(modes), max(modes)
-    for n in (lo, hi):
-        if n < 1 or n > num_modes:
-            raise ValueError(f"mode {n} outside 1..{num_modes}")
-    return idx - 1
 
 
 def _mass_entropy(x: float) -> float:
@@ -424,17 +422,17 @@ def _branch_mis(p: np.ndarray, blocks: Sequence[tuple[np.ndarray, bool]]) -> lis
     """The one branch-decoherence kernel: MI before and after each block.
 
     p are a Schmidt-pair state's probabilities; blocks are disjoint
-    (zero-based indices, localizes) pairs, each applied on top of the
-    earlier ones. MI = 2 h_R - H(R) + h_D + H(L) (see BranchMixture) is
-    2 H(p) - S(joint) with no two large terms cancelling: 2 h_R - H(R) >= h_R,
-    as each p in R is at most R. R and h_R are summed from the back so that
-    a tiny remainder keeps its digits.
+    (_modes array, localizes) pairs, each applied on top of the earlier
+    ones and summed in ascending mode order. MI = 2 h_R - H(R) + h_D + H(L)
+    (see BranchMixture) is 2 H(p) - S(joint) with no two large terms
+    cancelling: 2 h_R - H(R) >= h_R, as each p in R is at most R. R and h_R
+    are summed from the back so that a tiny remainder keeps its digits.
     """
     untouched = np.ones(p.size, dtype=bool)
     sums = [(False, 0.0, 0.0)]  # before any block: dephasing nothing
-    for idx, localizes in blocks:
-        untouched[idx] = False
-        block = p[idx]
+    for modes, localizes in blocks:
+        untouched[modes - 1] = False
+        block = p[modes - 1]
         sums.append((localizes, float(block.sum()), _neg_xlogx(block)))
     rest = p[untouched]
     retained = [(float(rest.sum()), _neg_xlogx(rest))]
@@ -481,8 +479,9 @@ def decoherence_sweep(
     if spin_mi < 0.0:
         raise ValueError(f"spin_mi must be nonnegative, got {spin_mi}")
     s.require_weights("decoherence sweep")
-    blocks = [(_step_indices(step.modes, s.num_modes), step.channel == "localize")
-              for step in schedule.steps]
+    for step in schedule.steps:
+        _check_range(step.modes, s.num_modes)
+    blocks = [(step.modes, step.channel == "localize") for step in schedule.steps]
     mis = _branch_mis(s.probabilities(), blocks)
     mom0 = mutual_information_schmidt(s)
     total0 = spin_mi + mom0

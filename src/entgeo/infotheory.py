@@ -56,7 +56,7 @@ def entropy_from_spectrum(spectrum: Iterable[float], base: float | None = None) 
                    dtype=float).reshape(-1)
     if p.size == 0:
         raise ValueError("empty spectrum")
-    return _spectrum_entropies(p[None], base, "spectrum has negative entry")[0]
+    return _spectrum_entropies(p[None], base, "spectrum has {} entry")[0]
 
 
 def von_neumann_entropy(rho: DensityMatrix, base: float | None = None) -> float:
@@ -66,35 +66,34 @@ def von_neumann_entropy(rho: DensityMatrix, base: float | None = None) -> float:
 
 def _matrix_entropies(mats: np.ndarray, base: float | None = None) -> list[float]:
     """von_neumann_entropy of each matrix of a (k, d, d) stack, one eigensolve."""
-    return _spectrum_entropies(np.linalg.eigvalsh(mats), base,
-                               "density matrix has negative eigenvalue")
+    return _spectrum_entropies(np.linalg.eigvalsh(mats), base, "density matrix has {} eigenvalue")
 
 
-def _spectrum_entropies(spectra: np.ndarray, base: float | None, negative: str) -> list[float]:
+def _spectrum_entropies(spectra: np.ndarray, base: float | None, bad: str) -> list[float]:
     """Entropy of each row of a (k, n) stack of spectra.
 
     Each entropy is summed on its own row by _neg_xlogx over the entries
     above EIG_CLAMP; padding rows to a common length and summing the
     stack would regroup numpy's pairwise sum and move the last bits.
     """
-    _check_spectra(spectra, negative)
+    _check_spectra(spectra, bad)
     factor = _base_factor(base)
     return [max(_neg_xlogx(p[p > EIG_CLAMP]), 0.0) / factor for p in spectra]
 
 
-def _check_spectra(spectra: np.ndarray, negative: str) -> None:
+def _check_spectra(spectra: np.ndarray, bad: str) -> None:
     """Row checks on a (k, n) stack of spectra.
 
-    An entry below -NEG_TOL raises with the negative message, a sum off 1
-    by more than 1e-8 raises too. Both are evaluated for the whole stack
-    at once, then read row by row: the first failing row raises, the
-    negative check before the sum.
+    An entry below -NEG_TOL raises with bad naming it "negative", a NaN entry
+    with bad naming it "NaN"; a sum off 1 by more than 1e-8 raises too. Both
+    are evaluated for the whole stack at once, then read row by row: the
+    first failing row raises, the entry check before the sum.
     """
     lows = np.minimum.reduce(spectra, axis=1)
     totals = np.add.reduce(spectra, axis=1)
     for k, (low, total) in enumerate(zip(lows.tolist(), totals.tolist())):
-        if not low >= -NEG_TOL:  # NaN fails too
-            raise ValueError(f"{negative} {lows[k]}")
+        if not low >= -NEG_TOL:  # NaN fails too: the minimum of a NaN row is NaN
+            raise ValueError(f"{bad.format('negative' if low < 0.0 else 'NaN')} {lows[k]}")
         if not abs(total - 1.0) <= 1e-8:
             raise ValueError(f"spectrum must sum to 1, got {totals[k]!r}")
 
@@ -326,6 +325,9 @@ def correlation_lower_bound(
     mean_d = float(np.real(np.trace(rho_d @ od)))
     cov = joint - mean_c * mean_d
     factor = 1.0 / _base_factor(base)
-    bound = cov**2 / (2.0 * nc**2 * nd**2) * factor
+    try:
+        bound = cov**2 / (2.0 * nc**2 * nd**2) * factor
+    except OverflowError:  # a huge norm or covariance squared
+        raise ValueError(f"observable norms {nc!r}, {nd!r} overflow the bound") from None
     mi = mutual_information(rho, ((lc,), (ld,)), base=base)
     return CorrelationBound(covariance=cov, bound=bound, mutual_info=mi)

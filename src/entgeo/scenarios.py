@@ -152,13 +152,12 @@ def momentum_sector_state(
     scales: "PhysicalScales | None" = None,
     weights=None,
     pairing=None,
-    materialize_limit: int = MATERIALIZE_LIMIT,
 ) -> SchmidtPairState:
     """Momentum sector with one Schmidt term per back-to-back mode pair.
 
     Pass explicit weights, or a mode count (flat distribution), or a
     PhysicalScales whose mode count is used. Flat sectors materialize
-    their weight vector up to materialize_limit modes and stay symbolic
+    their weight vector up to MATERIALIZE_LIMIT modes and stay symbolic
     above it, so astronomical mode counts cost nothing.
     """
     if weights is not None:
@@ -176,7 +175,7 @@ def momentum_sector_state(
         num_modes = scales.mode_count
     if num_modes is None:
         raise ValueError("need explicit weights, num_modes, or scales")
-    return SchmidtPairState.flat(num_modes, symbolic=num_modes > materialize_limit)
+    return SchmidtPairState.flat(num_modes, symbolic=num_modes > MATERIALIZE_LIMIT)
 
 
 @dataclass(frozen=True)

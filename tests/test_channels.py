@@ -409,6 +409,57 @@ class TestBranchMixture:
         assert abs(mix.mutual_info(base=2) - mi / LOG2) < 1e-12
 
 
+class TestModeSets:
+    """Every mode set is held as one sorted, repeat-free, read-only int64 array."""
+
+    BUILDERS = {
+        "ScheduleStep": lambda modes: ScheduleStep(modes, "dephase"),
+        "BranchMixture.dephased": lambda modes: BranchMixture(flat(4), modes, ()),
+        "BranchMixture.localized": lambda modes: BranchMixture(flat(4), (), modes),
+        "dephase_modes": lambda modes: dephase_modes(flat(4), modes),
+        "localize_modes": lambda modes: localize_modes(flat(4), modes),
+    }
+
+    @pytest.mark.parametrize("bad", [2.5, "3"])
+    @pytest.mark.parametrize("builder", list(BUILDERS))
+    def test_non_integer_modes_rejected(self, builder, bad):
+        with pytest.raises(ValueError, match=f"^mode {bad!r} not an integer$"):
+            self.BUILDERS[builder]([1, bad])
+
+    @pytest.mark.parametrize("modes", [[3, 1, 3, 2], (3, 2, 1), {2, 3, 1}, range(1, 4),
+                                       np.array([[3, 1], [2, 1]], dtype=np.int32)])
+    def test_one_format(self, modes):
+        for got in (ScheduleStep(modes, "localize").modes,
+                    BranchMixture(flat(4), modes, ()).dephased,
+                    BranchMixture(flat(4), (), modes).localized):
+            assert got.dtype == np.int64
+            assert got.tolist() == [1, 2, 3]
+            assert not got.flags.writeable
+
+    def test_caller_array_left_alone(self):
+        modes = np.array([3, 1, 2])
+        ScheduleStep(modes, "dephase")
+        assert modes.tolist() == [3, 1, 2] and modes.flags.writeable
+
+    def test_mode_beyond_int64_rejected(self):
+        with pytest.raises(ValueError, match=f"mode {2**63} outside"):
+            ScheduleStep([1, 2**63], "dephase")
+
+    @pytest.mark.parametrize("channel,seed", [("dephase", 24), ("dephase", 43),
+                                              ("localize", 27), ("localize", 53)])
+    def test_mode_order_cannot_move_bits(self, channel, seed):
+        # 1, 9, 17 and 25 collide in a hash table of 8 slots, so a frozenset
+        # of them iterated in insertion order and summed the block differently
+        s = SchmidtPairState.from_weights(random_weights(np.random.default_rng(seed), 32))
+        apply = dephase_modes if channel == "dephase" else localize_modes
+        modes = [1, 9, 17, 25]
+        assert apply(s, modes)[1] == apply(s, modes[::-1])[1]
+        sweeps = [decoherence_sweep(s, DecoherenceSchedule((ScheduleStep(m, channel),)),
+                                    spin_mi=0.0, wf=neg_log_weight())
+                  for m in (modes, modes[::-1])]
+        assert sweeps[0] == sweeps[1]
+
+
 class TestSchedule:
     def test_step_rejects_empty_modes(self):
         with pytest.raises(ValueError, match="at least one"):
@@ -431,7 +482,16 @@ class TestSchedule:
         sizes = [len(step.modes) for step in sched.steps]
         assert sizes == [3, 3, 2, 2]
         assert 1 in sched.steps[0].modes  # lowest (IR) indices go first
-        assert sched.all_modes == frozenset(range(1, 11))
+        assert np.concatenate([step.modes for step in sched.steps]).tolist() == list(range(1, 11))
+
+    @pytest.mark.parametrize("num_modes,num_steps", [(10, 4), (777, 777), (1000, 7), (65536, 64)])
+    def test_ir_first_steps_are_sorted_and_cover_every_mode(self, num_modes, num_steps):
+        sched = DecoherenceSchedule.ir_first(num_modes, num_steps, "dephase")
+        for step in sched.steps:
+            assert step.modes.dtype == np.int64
+            assert np.all(np.diff(step.modes) == 1)
+        joined = np.concatenate([step.modes for step in sched.steps])
+        np.testing.assert_array_equal(joined, np.arange(1, num_modes + 1))
 
     def test_ir_first_rejects_too_many_steps(self):
         with pytest.raises(ValueError, match="cannot split"):
@@ -540,11 +600,12 @@ class TestDecoherenceSweep:
 
     @pytest.mark.parametrize("bad_mode", [0, 5, 2**63])
     def test_rejects_schedule_outside_mode_range(self, bad_mode):
-        sched = DecoherenceSchedule((
-            ScheduleStep(frozenset({1, 2}), "dephase"),
-            ScheduleStep(frozenset({3, bad_mode}), "localize"),
-        ))
+        # 2**63 has no int64 mode array, so ScheduleStep already raises
         with pytest.raises(ValueError, match="outside"):
+            sched = DecoherenceSchedule((
+                ScheduleStep(frozenset({1, 2}), "dephase"),
+                ScheduleStep(frozenset({3, bad_mode}), "localize"),
+            ))
             decoherence_sweep(flat(4), sched, spin_mi=0.0, wf=neg_log_weight())
 
     def test_builds_no_branch_mixture(self, monkeypatch):

@@ -75,6 +75,10 @@ class TestEntropyFromSpectrum:
         with pytest.raises(ValueError, match="sum to 1"):
             entropy_from_spectrum([0.5, 0.4])
 
+    def test_nan_entry_named_nan(self):
+        with pytest.raises(ValueError, match=r"^spectrum has NaN entry nan$"):
+            entropy_from_spectrum([math.nan, 1.0])
+
     def test_rejects_bad_base(self):
         with pytest.raises(ValueError, match="base"):
             entropy_from_spectrum([1.0], base=1.0)
@@ -92,6 +96,12 @@ class TestVonNeumannEntropy:
         rho = DensityMatrix((FactorSpace("A", 2),), np.diag([1.5, -0.5]).astype(complex))
         with pytest.raises(ValueError, match="negative"):
             von_neumann_entropy(rho)
+
+    def test_nan_eigenvalue_named_nan(self, monkeypatch):
+        monkeypatch.setattr(entgeo.infotheory.np.linalg, "eigvalsh",
+                            lambda mats: np.array([[math.nan, 1.0]]))
+        with pytest.raises(ValueError, match=r"^density matrix has NaN eigenvalue nan$"):
+            von_neumann_entropy(bell_density())
 
     @given(seed=st.integers(0, 10_000))
     def test_entropy_within_bounds(self, seed):

@@ -1,10 +1,12 @@
-"""NaN and infinite entries fail every structural check with ValueError.
+"""NaN, infinite and huge finite entries fail every structural check with ValueError.
 
 Each check compares as `not err <= tol`, because NaN compares false both
-ways: written as `err > tol`, a NaN error would pass.
+ways: written as `err > tol`, a NaN error would pass. A huge finite entry
+must not escape as the OverflowError of a Python float power.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -39,9 +41,10 @@ CONSTRUCTORS = {
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf on the way
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # 1e308 squared on the way
 @pytest.mark.parametrize("name", list(CONSTRUCTORS))
-@given(bad=st.sampled_from([math.nan, math.inf, -math.inf]), index=st.integers(0, 15),
-       imag=st.booleans())
+@given(bad=st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, sys.float_info.max]),
+       index=st.integers(0, 15), imag=st.booleans())
 @settings(max_examples=40, deadline=None)
 def test_non_finite_entry_raises_value_error(name, bad, index, imag):
     def poison(arr):
@@ -57,3 +60,11 @@ def test_non_finite_entry_raises_value_error(name, bad, index, imag):
 def test_finite_input_builds(name):
     # so the ValueError above comes from the non-finite entry alone
     CONSTRUCTORS[name](lambda arr: np.array(arr, dtype=complex))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("big", [1e308, -1e308, sys.float_info.max])
+def test_huge_observable_raises_value_error(big):
+    # hermitian and finite, but its squared norm overflows a Python float
+    with pytest.raises(ValueError, match="overflow the bound"):
+        correlation_lower_bound(DensityMatrix(AB.factors, RHO), np.diag([big, -1.0]), PAULI_Z)

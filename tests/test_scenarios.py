@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import entgeo.scenarios
 from entgeo.hilbert import SchmidtPairState, partial_trace, qubits
 from entgeo.infotheory import mutual_information, von_neumann_entropy
 from entgeo.scenarios import (
@@ -151,8 +152,10 @@ class TestMomentumSectorState:
         assert s.is_symbolic
         assert s.num_modes == 10**29
 
-    def test_materialize_limit_is_configurable(self):
-        assert momentum_sector_state(num_modes=16, materialize_limit=8).is_symbolic
+    def test_materialize_limit_is_configurable(self, monkeypatch):
+        monkeypatch.setattr(entgeo.scenarios, "MATERIALIZE_LIMIT", 8)
+        assert momentum_sector_state(num_modes=16).is_symbolic
+        assert not momentum_sector_state(num_modes=8).is_symbolic
 
     def test_scales_input(self):
         scales = physical_scales(l_app=MM, mass=ELECTRON_MASS)
