@@ -14,7 +14,7 @@ the action is in the joint spectrum, which stays closed-form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -113,32 +113,25 @@ class NonLocalPerturbation:
 
     The unitary acts on the listed system factors followed by the
     environment factors (in that order); env_state is the environment's
-    initial pure amplitudes.
+    initial pure amplitudes, checked and stored once as a PureState.
     """
 
     unitary: np.ndarray
     labels: tuple[str, ...]
     env_factors: tuple[FactorSpace, ...]
     env_state: np.ndarray
+    _env: PureState = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _set_labels_and_unitary(self)
-        object.__setattr__(self, "env_factors", tuple(self.env_factors))
-        if not self.env_factors:
-            raise ValueError("need at least one environment factor")
-        env_dim = math.prod(f.dim for f in self.env_factors)
-        v = np.array(self.env_state, dtype=complex, copy=True).reshape(-1)
-        if v.shape != (env_dim,):
-            raise ValueError(f"env_state must have length {env_dim}, got {v.shape}")
-        nrm = np.linalg.norm(v)
-        if not abs(nrm - 1.0) <= 1e-10:  # NaN fails too
-            raise ValueError(f"env_state not normalized: |v| = {nrm!r}")
-        v.setflags(write=False)
-        object.__setattr__(self, "env_state", v)
+        env = PureState(TensorProductStructure(self.env_factors), self.env_state)
+        object.__setattr__(self, "env_factors", env.tps.factors)
+        object.__setattr__(self, "env_state", env.amplitudes)
+        object.__setattr__(self, "_env", env)
 
     @property
     def env_labels(self) -> tuple[str, ...]:
-        return tuple(f.label for f in self.env_factors)
+        return self._env.labels
 
 
 def apply_unitary(psi: PureState, u: np.ndarray, labels: Sequence[str]) -> PureState:
@@ -225,8 +218,7 @@ def apply_nonlocal(
             "system factors of a nonlocal perturbation must lie on one side of the split"
         )
     mi0 = pure_state_mutual_information(psi, (side_a, side_b))
-    env = PureState(TensorProductStructure(pert.env_factors, cap=psi.tps.cap), pert.env_state)
-    extended = tensor(psi, env)
+    extended = tensor(psi, pert._env)
     extended = apply_unitary(extended, pert.unitary, pert.labels + pert.env_labels)
     rho_ab = reduced_density(extended, side_a + side_b)
     mi1 = mutual_information(rho_ab, (side_a, side_b))

@@ -25,7 +25,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from . import __version__
+from . import __version__, hilbert
 from .channels import (
     DecoherenceSchedule,
     LocalPerturbation,
@@ -49,7 +49,6 @@ from .geometry import (
     neg_log_weight,
 )
 from .hilbert import (
-    DENSE_CAP,
     ExplicitWeightsRequired,
     FactorSpace,
     PureState,
@@ -512,8 +511,8 @@ def _graph_state(name: str, n_qubits: int, seed: int) -> PureState:
         amp[0] = 1.0
         return PureState(qubits(("A", "B")), amp)
     if name == "random":
-        if n_qubits >= DENSE_CAP.bit_length():  # 2**n_qubits > DENSE_CAP
-            raise _cap_error({2: n_qubits}, DENSE_CAP)
+        if n_qubits >= hilbert.DENSE_CAP.bit_length():  # 2**n_qubits > DENSE_CAP
+            raise _cap_error({2: n_qubits})
         labels = tuple(f"Q{i}" for i in range(n_qubits))
         return haar_random_state(qubits(labels), seed)
     raise AssertionError(name)

@@ -76,11 +76,11 @@ class InfoGraph:
         return self.edges.get(_canonical_pair(a, b))
 
 
-def build_info_graph(psi: PureState, mi_floor: float = MI_EDGE_FLOOR) -> InfoGraph:
+def build_info_graph(psi: PureState) -> InfoGraph:
     """Pairwise-MI graph of a multi-factor pure state.
 
     Computes I(p:q) = S(p) + S(q) - S(pq) for every unordered pair of
-    factors and keeps pairs at or above the floor. Pairs are grouped by
+    factors and keeps pairs at or above MI_EDGE_FLOOR. Pairs are grouped by
     their dimensions (d_p, d_q): each group's two-factor reduced density
     matrices are contracted one pair at a time into a preallocated stack,
     validated as a stack, and the joint matrices and both marginals of
@@ -120,11 +120,11 @@ def build_info_graph(psi: PureState, mi_floor: float = MI_EDGE_FLOOR) -> InfoGra
             mi_of[pair] = s_p[k] + s_q[k] - s_pq[k]
     edges: dict[tuple[str, str], float] = {}
     for (i, j), mi in sorted(mi_of.items()):
-        if _nonnegative_mi(mi) >= mi_floor:
+        if _nonnegative_mi(mi) >= MI_EDGE_FLOOR:
             edges[_canonical_pair(labels[i], labels[j])] = mi
     if not edges:
         raise NoCorrelationsError(
-            f"no pairwise mutual information above {mi_floor} among {labels}"
+            f"no pairwise mutual information above {MI_EDGE_FLOOR} among {labels}"
         )
     return InfoGraph(vertices=labels, edges=edges)
 

@@ -18,9 +18,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-# Default bound on the joint dimension of any dense representation, that
-# is on the length of a state vector; overridable per
-# TensorProductStructure. It does not bound d x d matrices: at the cap one
+# Bound on the joint dimension of any dense representation, that is on
+# the length of a state vector; TensorProductStructure reads it on every
+# construction. It does not bound d x d matrices: at the cap one
 # complex density matrix is 4 GiB, and density_of, mutual_information and
 # apply_nonlocal build such matrices. Building one through reduced_density,
 # partial_trace or density_of holds that matrix plus at most two blocks of
@@ -80,9 +80,9 @@ def _count_text(dim_counts: Mapping[int, int]) -> str:
     return str(math.prod(d**m for d, m in counts)) if log10 < 4000 else f"about 1e{int(log10)}"
 
 
-def _cap_error(dim_counts: Mapping[int, int], cap: int) -> ValueError:
+def _cap_error(dim_counts: Mapping[int, int]) -> ValueError:
     """The dense-cap error for the joint dimension prod d**m over dim_counts."""
-    return ValueError(f"joint dimension {_count_text(dim_counts)} exceeds dense cap {cap}")
+    return ValueError(f"joint dimension {_count_text(dim_counts)} exceeds dense cap {DENSE_CAP}")
 
 
 @dataclass(frozen=True)
@@ -95,17 +95,14 @@ class TensorProductStructure:
     """
 
     factors: tuple[FactorSpace, ...]
-    cap: int = DENSE_CAP
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "factors", _factor_tuple(self.factors))
-        if self.cap < 2:
-            raise ValueError("dense cap must be at least 2")
         dim = 1
         for f in self.factors:
             dim *= f.dim
-            if dim > self.cap:  # stop here: the full product may be huge
-                raise _cap_error(Counter(self.dims), self.cap)
+            if dim > DENSE_CAP:  # stop here: the full product may be huge
+                raise _cap_error(Counter(self.dims))
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -129,9 +126,9 @@ class TensorProductStructure:
         return math.prod(self.factors[self.index_of(lb)].dim for lb in labels)
 
 
-def qubits(labels: Sequence[str], cap: int = DENSE_CAP) -> TensorProductStructure:
+def qubits(labels: Sequence[str]) -> TensorProductStructure:
     """Tensor product structure of dimension-2 factors, one per label."""
-    return TensorProductStructure(tuple(FactorSpace(lb, 2) for lb in labels), cap=cap)
+    return TensorProductStructure(tuple(FactorSpace(lb, 2) for lb in labels))
 
 
 def _as_locked_complex(values, length: int, what: str) -> np.ndarray:
@@ -157,7 +154,7 @@ class PureState:
         amp = _as_locked_complex(self.amplitudes, self.tps.total_dim, "amplitudes")
         nrm = np.linalg.norm(amp)
         if not abs(nrm - 1.0) <= ATOL_STRUCT:  # NaN fails too
-            raise ValueError(f"state not normalized: |psi| = {nrm!r}")
+            raise ValueError(f"state not normalized: |psi| = {float(nrm)}")
         object.__setattr__(self, "amplitudes", amp)
 
     @property
@@ -266,8 +263,8 @@ class DensityMatrix:
 def tensor(*states: PureState) -> PureState:
     """Kronecker product of pure states, factors concatenated in call order.
 
-    Labels must stay globally unique. The result's dense cap is the largest
-    cap among the inputs, so an explicitly raised cap survives composition.
+    Labels must stay globally unique, and the joint dimension must fit
+    under DENSE_CAP.
     """
     if not states:
         raise ValueError("tensor() needs at least one state")
@@ -276,8 +273,7 @@ def tensor(*states: PureState) -> PureState:
     factors: list[FactorSpace] = []
     for s in states:
         factors.extend(s.tps.factors)
-    cap = max(s.tps.cap for s in states)
-    tps = TensorProductStructure(tuple(factors), cap=cap)
+    tps = TensorProductStructure(tuple(factors))
     amp = states[0].amplitudes
     for s in states[1:]:
         amp = np.kron(amp, s.amplitudes)
@@ -421,7 +417,7 @@ class SchmidtPairState:
         w = _as_locked_complex(self.weights, self.num_modes, "weights")
         nrm = np.linalg.norm(w)
         if not abs(nrm - 1.0) <= ATOL_STRUCT:  # NaN fails too
-            raise ValueError(f"weights not normalized: |w| = {nrm!r}")
+            raise ValueError(f"weights not normalized: |w| = {float(nrm)}")
         object.__setattr__(self, "weights", w)
         if self.pairing is not None:
             p = np.array(self.pairing, dtype=np.int64, copy=True).reshape(-1)
@@ -487,24 +483,18 @@ class SchmidtPairState:
         return SchmidtPairState(num_modes=n, weights=np.full(n, 1.0 / math.sqrt(n), dtype=complex))
 
 
-def schmidt_to_dense(
-    s: SchmidtPairState,
-    labels: tuple[str, str] = ("A", "B"),
-    cap: int = DENSE_CAP,
-) -> PureState:
+def schmidt_to_dense(s: SchmidtPairState, labels: tuple[str, str] = ("A", "B")) -> PureState:
     """Dense two-factor state vector realizing a Schmidt-pair state.
 
     Both factors get dimension num_modes, so num_modes >= 2 is required
     (a lone mode has no dimension-2 factor to live on) and num_modes^2
-    must fit under the dense cap.
+    must fit under DENSE_CAP.
     """
     w = s.require_weights("schmidt_to_dense")
     m = s.num_modes
     if m < 2:
         raise ValueError("dense realization needs at least 2 modes")
-    tps = TensorProductStructure(
-        (FactorSpace(labels[0], m), FactorSpace(labels[1], m)), cap=cap
-    )
+    tps = TensorProductStructure((FactorSpace(labels[0], m), FactorSpace(labels[1], m)))
     amp = np.zeros((m, m), dtype=complex)
     partners = s.pairing_values()
     amp[np.arange(m), partners - 1] = w

@@ -91,11 +91,11 @@ def _check_spectra(spectra: np.ndarray, bad: str) -> None:
     """
     lows = np.minimum.reduce(spectra, axis=1)
     totals = np.add.reduce(spectra, axis=1)
-    for k, (low, total) in enumerate(zip(lows.tolist(), totals.tolist())):
+    for low, total in zip(lows.tolist(), totals.tolist()):
         if not low >= -NEG_TOL:  # NaN fails too: the minimum of a NaN row is NaN
-            raise ValueError(f"{bad.format('negative' if low < 0.0 else 'NaN')} {lows[k]}")
+            raise ValueError(f"{bad.format('negative' if low < 0.0 else 'NaN')} {low}")
         if not abs(total - 1.0) <= 1e-8:
-            raise ValueError(f"spectrum must sum to 1, got {totals[k]!r}")
+            raise ValueError(f"spectrum must sum to 1, got {total}")
 
 
 def _split_pair(
@@ -199,14 +199,10 @@ class MiPropertyReport:
         return max(worst) <= self.atol
 
 
-ALL_MI_PROPERTIES = ("positivity", "boundedness", "symmetry", "monotonicity")
-
-
 def check_mi_properties(
     rho: DensityMatrix,
     trials: int = 20,
     seed: int = 0,
-    properties: Sequence[str] = ALL_MI_PROPERTIES,
     atol: float = 1e-9,
 ) -> MiPropertyReport:
     """Stress the defining mutual-information properties on random bipartitions.
@@ -214,44 +210,38 @@ def check_mi_properties(
     positivity:    I(A:B) >= 0
     boundedness:   I(A:B) <= log dim(A) + log dim(B)
     symmetry:      I(A:B) == I(B:A) (computed from the swapped split)
-    monotonicity:  I(A:BC) >= I(A:B) for disjoint A, B, C (needs >= 3 factors)
+    monotonicity:  I(A:BC) >= I(A:B) for disjoint A, B, C, checked when rho
+                   has at least 3 factors and reported as None otherwise
 
     Reports the worst violation per property; ok means all stayed within atol.
     """
-    unknown = set(properties) - set(ALL_MI_PROPERTIES)
-    if unknown:
-        raise ValueError(f"unknown properties {sorted(unknown)}")
     labels = list(rho.labels)
-    if "monotonicity" in properties and len(labels) < 3:
-        raise ValueError("monotonicity check needs at least 3 factors")
     if len(labels) < 2:
         raise ValueError("need at least 2 factors to form a bipartition")
+    three_way = len(labels) >= 3
     rng = np.random.default_rng(seed)
-    worst = {name: 0.0 for name in properties}
+    positivity = boundedness = symmetry = monotonicity = 0.0
     for _ in range(trials):
         perm = list(rng.permutation(labels))
         cut = int(rng.integers(1, len(labels)))
         part_a, part_b = tuple(perm[:cut]), tuple(perm[cut:])
         mi = mutual_information(rho, (part_a, part_b))
-        if "positivity" in worst:
-            worst["positivity"] = max(worst["positivity"], -mi)
-        if "boundedness" in worst:
-            bound = math.log(_dim_product(rho, part_a)) + math.log(_dim_product(rho, part_b))
-            worst["boundedness"] = max(worst["boundedness"], mi - bound)
-        if "symmetry" in worst:
-            mi_swapped = mutual_information(rho, (part_b, part_a))
-            worst["symmetry"] = max(worst["symmetry"], abs(mi - mi_swapped))
-        if "monotonicity" in worst and len(labels) >= 3:
+        positivity = max(positivity, -mi)
+        bound = math.log(_dim_product(rho, part_a)) + math.log(_dim_product(rho, part_b))
+        boundedness = max(boundedness, mi - bound)
+        mi_swapped = mutual_information(rho, (part_b, part_a))
+        symmetry = max(symmetry, abs(mi - mi_swapped))
+        if three_way:
             # discarding C can only lose correlations: I(A:B) <= I(A:BC)
             a3, b3, c3 = _random_three_way(rng, labels)
             mi_small = mutual_information(partial_trace(rho, a3 + b3), (a3, b3))
             mi_big = mutual_information(rho, (a3, b3 + c3))
-            worst["monotonicity"] = max(worst["monotonicity"], mi_small - mi_big)
+            monotonicity = max(monotonicity, mi_small - mi_big)
     checks = MiPropertyChecks(
-        positivity=worst.get("positivity", 0.0),
-        boundedness=worst.get("boundedness", 0.0),
-        symmetry=worst.get("symmetry", 0.0),
-        monotonicity=worst.get("monotonicity") if "monotonicity" in worst else None,
+        positivity=positivity,
+        boundedness=boundedness,
+        symmetry=symmetry,
+        monotonicity=monotonicity if three_way else None,
     )
     return MiPropertyReport(trials=trials, seed=seed, checks=checks, atol=atol)
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import (
-    DENSE_CAP,
     DensityMatrix,
     FactorSpace,
     PureState,
@@ -49,14 +48,14 @@ def bell_state(labels: tuple[str, str] = ("A", "B")) -> PureState:
     return PureState(qubits(labels), amp)
 
 
-def qudit_bell(n: int, labels: tuple[str, str] = ("A", "B"),
-               cap: int = DENSE_CAP) -> PureState:
-    """Maximally entangled pair of n-level systems, sum_i |ii> / sqrt(n)."""
+def qudit_bell(n: int, labels: tuple[str, str] = ("A", "B")) -> PureState:
+    """Maximally entangled pair of n-level systems, sum_i |ii> / sqrt(n).
+
+    n * n must fit under DENSE_CAP (n <= 128).
+    """
     if int(n) != n or n < 2:
         raise ValueError(f"local dimension must be an integer >= 2, got {n!r}")
-    tps = TensorProductStructure(
-        (FactorSpace(labels[0], n), FactorSpace(labels[1], n)), cap=cap
-    )
+    tps = TensorProductStructure((FactorSpace(labels[0], n), FactorSpace(labels[1], n)))
     amp = np.zeros((n, n), dtype=complex)
     amp[np.arange(n), np.arange(n)] = 1.0 / math.sqrt(n)
     return PureState(tps, amp.reshape(-1))
@@ -118,7 +117,7 @@ class SectorState:
         """I(Alice : Bob) over both sectors; additive because they multiply."""
         return self.spin_mutual_info(base=base) + self.momentum_mutual_info(base=base)
 
-    def to_dense(self, cap: int = DENSE_CAP) -> PureState:
+    def to_dense(self) -> PureState:
         """Dense four-factor state for cross-checks (pure spin sector only).
 
         Factor order: both spin factors, then both momentum factors; the
@@ -126,13 +125,12 @@ class SectorState:
         """
         if not isinstance(self.spin, PureState):
             raise ValueError("dense cross-check state needs a pure spin sector")
-        mom = schmidt_to_dense(self.momentum, labels=self.momentum_labels, cap=cap)
+        mom = schmidt_to_dense(self.momentum, labels=self.momentum_labels)
         return tensor(self.spin, mom)
 
-    def dense_total_mutual_info(self, cap: int = DENSE_CAP,
-                                base: float | None = None) -> float:
+    def dense_total_mutual_info(self, base: float | None = None) -> float:
         """Total MI through the dense pipeline, for validating additivity."""
-        psi = self.to_dense(cap=cap)
+        psi = self.to_dense()
         a, b = self.spin.labels
         ap, bp = self.momentum_labels
         return pure_state_mutual_information(psi, ((a, ap), (b, bp)), base=base)

@@ -279,6 +279,23 @@ class TestApplyNonlocal:
                 env_state=np.array([1.0, 1.0]),
             )
 
+    @pytest.mark.parametrize("env_factors,env_state,match", [
+        ((FactorSpace("E", 2),), [1.0, 0.0, 0.0], "length 2"),
+        ((FactorSpace("E", 2), FactorSpace("E", 2)), [1.0, 0.0, 0.0, 0.0], "duplicate"),
+        ((), [1.0], "at least one factor"),
+        ((FactorSpace("E", 2**15),), [1.0] + [0.0] * (2**15 - 1), "dense cap"),
+    ])
+    def test_env_state_is_checked_as_a_pure_state(self, env_factors, env_state, match):
+        with pytest.raises(ValueError, match=match):
+            NonLocalPerturbation(np.eye(2), ("B",), env_factors, np.array(env_state))
+
+    def test_env_state_is_stored_read_only(self):
+        pert = NonLocalPerturbation(np.eye(2), ("B",), (FactorSpace("E", 2),), [0.6, 0.8])
+        np.testing.assert_array_equal(pert.env_state, [0.6, 0.8])
+        assert pert.env_state.dtype == complex
+        assert not pert.env_state.flags.writeable
+        assert pert.env_labels == ("E",)
+
 
 def flat(m: int) -> SchmidtPairState:
     return SchmidtPairState.flat(m, symbolic=False)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entgeo import __version__, cli
+from entgeo import __version__, cli, hilbert
 from entgeo.cli import export_edges, main
 from entgeo.geometry import build_info_graph, neg_log_weight
 from entgeo.scenarios import bell_with_environment
@@ -222,6 +222,12 @@ class TestMomentumSweep:
          ("--trials", "100", "--seed", "3", "--format", "json")),
         ("property-suite_trials5_seed3.json", "property-suite",
          ("--trials", "5", "--seed", "3", "--format", "json")),
+        ("vanilla-bell.csv", "vanilla-bell", ()),
+        ("bell-env.csv", "bell-env", ()),
+        ("qudit-bell_n5.csv", "qudit-bell", ("--n", "5")),
+        ("spin-momentum_4modes.csv", "spin-momentum", ("--n-modes", "4")),
+        ("spin-momentum_lapp1e-3_electron.csv", "spin-momentum",
+         ("--l-app", "1e-3", "--mass", "9.109e-31")),
     ]
 
     @pytest.mark.parametrize(
@@ -264,6 +270,15 @@ class TestGraphReconstruct:
         assert code == 2
         assert out == ""
         assert err == f"error: joint dimension {dim} exceeds dense cap 16384\n"
+
+    @pytest.mark.parametrize("n_qubits,dim", [("4", "16"), ("15", "32768")])
+    def test_qubit_guard_reads_the_module_cap(self, capsys, monkeypatch, n_qubits, dim):
+        monkeypatch.setattr(hilbert, "DENSE_CAP", 2**3)
+        code, out, err = run_cli(capsys, "run", "graph-reconstruct", "--state", "random",
+                                 "--n-qubits", n_qubits)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: joint dimension {dim} exceeds dense cap 8\n"
 
     def test_random_state_is_seeded(self, capsys):
         _, out1, _ = run_cli(capsys, "run", "graph-reconstruct",

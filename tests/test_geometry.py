@@ -33,7 +33,7 @@ from entgeo.hilbert import (
     reduced_density,
     tensor,
 )
-from entgeo.infotheory import mutual_information
+from entgeo.infotheory import mutual_information, pure_state_mutual_information
 
 LOG2 = math.log(2.0)
 BELL = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
@@ -77,6 +77,14 @@ class TestInfoGraph:
 
     def test_product_state_raises(self):
         psi = PureState(qubits(("A", "B")), np.array([1, 0, 0, 0], dtype=complex))
+        with pytest.raises(NoCorrelationsError):
+            build_info_graph(psi)
+
+    def test_weak_pair_below_the_floor_raises(self):
+        # MI of about 2e-14: positive, but under MI_EDGE_FLOOR, so no edge
+        p = 1e-14
+        psi = PureState(qubits(("A", "B")), np.array([math.sqrt(1 - p), 0, 0, math.sqrt(p)]))
+        assert 0.0 < pure_state_mutual_information(psi, (("A",), ("B",))) < MI_EDGE_FLOOR
         with pytest.raises(NoCorrelationsError):
             build_info_graph(psi)
 

@@ -90,10 +90,14 @@ class TestTensorProductStructure:
         with pytest.raises(ValueError, match=f"^joint dimension {text} exceeds dense cap 16384$"):
             qubits(tuple(f"Q{i}" for i in range(n)))
 
-    def test_cap_is_configurable(self):
+    def test_cap_is_configurable(self, monkeypatch):
+        # the module constant is the one bound, read on every construction
         factors = tuple(FactorSpace(f"Q{i}", 2) for i in range(15))
-        tps = TensorProductStructure(factors, cap=2**15)
-        assert tps.total_dim == 2**15
+        monkeypatch.setattr(hilbert, "DENSE_CAP", 2**15)
+        assert TensorProductStructure(factors).total_dim == 2**15
+        monkeypatch.setattr(hilbert, "DENSE_CAP", 2**3)
+        with pytest.raises(ValueError, match="^joint dimension 16 exceeds dense cap 8$"):
+            qubits(("A", "B", "C", "D"))
 
     def test_unknown_label(self):
         with pytest.raises(KeyError):
@@ -370,7 +374,7 @@ class TestSchmidtDense:
     def test_cap_enforced(self):
         s = SchmidtPairState.flat(200, symbolic=False)
         with pytest.raises(ValueError, match="cap"):
-            schmidt_to_dense(s, cap=2**14)
+            schmidt_to_dense(s)
 
     def test_reduce_matches_dense_roundtrip_all_sizes(self):
         # closed-form marginals against the generic dense route, every mode
@@ -379,7 +383,7 @@ class TestSchmidtDense:
         for m in range(2, 65):
             w = rng.standard_normal(m) + 1j * rng.standard_normal(m)
             s = SchmidtPairState.from_weights(w / np.linalg.norm(w))
-            psi = schmidt_to_dense(s, cap=2**14)
+            psi = schmidt_to_dense(s)
             rho = density_of(psi)
             for side in ("A", "B"):
                 closed = schmidt_reduce(s, side)

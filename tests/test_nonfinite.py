@@ -2,7 +2,8 @@
 
 Each check compares as `not err <= tol`, because NaN compares false both
 ways: written as `err > tol`, a NaN error would pass. A huge finite entry
-must not escape as the OverflowError of a Python float power.
+must not escape as the OverflowError of a Python float power. The
+messages print plain Python numbers, never numpy's scalar reprs.
 """
 
 import math
@@ -68,3 +69,21 @@ def test_huge_observable_raises_value_error(big):
     # hermitian and finite, but its squared norm overflows a Python float
     with pytest.raises(ValueError, match="overflow the bound"):
         correlation_lower_bound(DensityMatrix(AB.factors, RHO), np.diag([big, -1.0]), PAULI_Z)
+
+
+# each builds one checked object from a finite but invalid input
+BAD_INPUTS = {
+    "PureState": lambda: PureState(AB, np.full(4, 0.6)),
+    "SchmidtPairState": lambda: SchmidtPairState.from_weights([1.0, 0.5]),
+    "env_state": lambda: NonLocalPerturbation(
+        np.eye(4), ("A",), (FactorSpace("E", 2),), np.array([1.0, 0.5])),
+    "spectrum sum": lambda: entropy_from_spectrum([0.5, 0.4]),
+    "spectrum entry": lambda: entropy_from_spectrum([1.5, -0.5]),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_INPUTS))
+def test_messages_print_python_numbers(name):
+    with pytest.raises(ValueError) as excinfo:
+        BAD_INPUTS[name]()
+    assert "np." not in str(excinfo.value)
