@@ -25,6 +25,7 @@ from .hilbert import (
     PureState,
     SchmidtPairState,
     TensorProductStructure,
+    _count,
     reduced_density,
     tensor,
 )
@@ -47,8 +48,7 @@ def haar_random_unitary(dim: int, seed: int) -> np.ndarray:
     positive, which removes the QR gauge ambiguity and makes the
     distribution exactly Haar. Deterministic per (dim, seed).
     """
-    if int(dim) != dim or dim < 1:
-        raise ValueError(f"dim must be an integer >= 1, got {dim!r}")
+    dim = _count(dim, 1, "dim")
     rng = np.random.default_rng(seed)
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2.0)
     q, r = np.linalg.qr(z)
@@ -368,8 +368,8 @@ class DecoherenceSchedule:
         Chunk sizes differ by at most one; the earlier steps take the
         larger chunks when num_modes does not divide evenly.
         """
-        if num_steps < 0:
-            raise ValueError("num_steps must be >= 0")
+        num_modes = _count(num_modes, 1, "num_modes")
+        num_steps = _count(num_steps, 0, "num_steps")
         if num_steps == 0:
             return cls(steps=())
         if num_modes < num_steps:

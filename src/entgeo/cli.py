@@ -334,30 +334,6 @@ def _render_json(scenario: str, seed: int, result: TableResult) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def export_edges(graph, wf, destination, ref_mi: float | None = None,
-                 meta: dict[str, Any] | None = None) -> None:
-    """Write a graph's edge list as CSV: src,dst,mutual_info_nats,weight.
-
-    destination is a path or a writable text file object. MI is always in
-    nats; weights are base-independent. Optional meta entries become
-    comment lines above the header.
-    """
-    rows = edge_records(graph, wf, ref_mi=ref_mi)
-    lines = []
-    if meta:
-        for key in sorted(meta):
-            lines.append(f"# {key} = {_meta_text(meta[key])}")
-    lines.append("src,dst,mutual_info_nats,weight")
-    for src, dst, mi, weight in rows:
-        lines.append(f"{src},{dst},{mi:.9f},{weight:.9f}")
-    text = "\n".join(lines) + "\n"
-    if hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        with open(destination, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-
-
 # ---------------------------------------------------------------------------
 # scenario handlers
 

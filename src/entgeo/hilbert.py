@@ -12,6 +12,7 @@ anything materializable.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -33,12 +34,28 @@ DENSE_CAP = 2**14
 # blocks of it; work that fits in one block runs as one expression.
 _BLOCK_ELEMS = 1 << 18
 
-# Most Schmidt weights ever materialized (1 GiB of complex weights):
-# flat(n, symbolic=False) and materialize() refuse more before allocating.
-MAX_EXPLICIT_MODES = 2**26
+# Most Schmidt weights ever materialized (16 MiB of complex weights):
+# flat(n, symbolic=False) and materialize() refuse more before allocating,
+# and scenarios.momentum_sector_state keeps a flat sector symbolic above it.
+MAX_EXPLICIT_MODES = 2**20
 
 # Tolerance for structural invariants (normalization, hermiticity, trace).
 ATOL_STRUCT = 1e-10
+
+
+def _count(value, low: int, what: str) -> int:
+    """value as a Python int, or ValueError unless it is an integer >= low.
+
+    The range test comes first, so nan and inf get this message too; the
+    message prints numpy scalars as plain numbers.
+    """
+    try:
+        if low <= value < math.inf and int(value) == value:
+            return int(value)
+    except TypeError:  # not a number, such as "2"
+        pass
+    shown = value if isinstance(value, numbers.Real) else repr(value)
+    raise ValueError(f"{what} must be an integer >= {low}, got {shown}")
 
 
 class ExplicitWeightsRequired(Exception):
@@ -56,9 +73,7 @@ class FactorSpace:
     def __post_init__(self) -> None:
         if not isinstance(self.label, str) or not self.label:
             raise ValueError("factor label must be a non-empty string")
-        if int(self.dim) != self.dim or self.dim < 2:
-            raise ValueError(f"factor dimension must be an integer >= 2, got {self.dim!r}")
-        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "dim", _count(self.dim, 2, "factor dimension"))
 
 
 def _factor_tuple(factors: Iterable[FactorSpace]) -> tuple[FactorSpace, ...]:
@@ -389,11 +404,12 @@ def _half_sum(a: np.ndarray, b: np.ndarray, buf: np.ndarray) -> np.ndarray:
 class SchmidtPairState:
     """Bipartite pure state with one Schmidt term per mode index.
 
-    Represents sum_n w_n |n>_A |f(n)>_B for n = 1..num_modes with an
-    injective pairing f. The canonical pairing reverses the index,
-    f(n) = num_modes + 1 - n. Reduced density operators are diagonal with
-    entries |w_n|^2, so entropies and mutual information come out in
-    closed form without any dense construction.
+    Represents sum_n w_n |n>_A |f(n)>_B for n = 1..num_modes, where
+    f(n) = num_modes + 1 - n pairs each mode with its back-to-back
+    partner, as momentum conservation fixes it. Any other injective
+    pairing would only relabel B's basis. Reduced density operators are
+    diagonal with entries |w_n|^2, so entropies and mutual information
+    come out in closed form without any dense construction.
 
     A flat distribution may be carried symbolically (weights is None):
     num_modes is then the only stored datum and may be astronomically
@@ -403,35 +419,22 @@ class SchmidtPairState:
 
     num_modes: int
     weights: np.ndarray | None = None
-    pairing: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        # the range test comes first, so that nan and inf get this message too
-        if not 1 <= self.num_modes < math.inf or int(self.num_modes) != self.num_modes:
-            raise ValueError(f"num_modes must be an integer >= 1, got {self.num_modes!r}")
-        object.__setattr__(self, "num_modes", int(self.num_modes))
+        object.__setattr__(self, "num_modes", _count(self.num_modes, 1, "num_modes"))
         if self.weights is None:
-            if self.pairing is not None:
-                raise ValueError("symbolic flat state cannot carry an explicit pairing")
             return
         w = _as_locked_complex(self.weights, self.num_modes, "weights")
         nrm = np.linalg.norm(w)
         if not abs(nrm - 1.0) <= ATOL_STRUCT:  # NaN fails too
             raise ValueError(f"weights not normalized: |w| = {float(nrm)}")
         object.__setattr__(self, "weights", w)
-        if self.pairing is not None:
-            p = np.array(self.pairing, dtype=np.int64, copy=True).reshape(-1)
-            if p.shape != (self.num_modes,):
-                raise ValueError("pairing must assign one partner per mode")
-            if p.min() < 1 or p.max() > self.num_modes or len(set(p.tolist())) != self.num_modes:
-                raise ValueError("pairing must be injective on 1..num_modes")
-            p.setflags(write=False)
-            object.__setattr__(self, "pairing", p)
 
     @classmethod
-    def from_weights(cls, weights, pairing=None) -> "SchmidtPairState":
+    def from_weights(cls, weights) -> "SchmidtPairState":
+        """Explicit-weight state over len(weights) modes; no mode limit applies."""
         w = np.asarray(weights, dtype=complex).reshape(-1)
-        return cls(num_modes=w.shape[0], weights=w, pairing=pairing)
+        return cls(num_modes=w.shape[0], weights=w)
 
     @classmethod
     def flat(cls, num_modes: int, symbolic: bool = True) -> "SchmidtPairState":
@@ -463,15 +466,6 @@ class SchmidtPairState:
         p.setflags(write=False)
         return p
 
-    def pairing_values(self) -> np.ndarray:
-        """Partner index f(n) for n = 1..num_modes (canonical: reversal)."""
-        self.require_weights("pairing_values")
-        if self.pairing is not None:
-            return self.pairing
-        p = np.arange(self.num_modes, 0, -1, dtype=np.int64)
-        p.setflags(write=False)
-        return p
-
     def materialize(self) -> "SchmidtPairState":
         """Explicit-weight copy of a symbolic flat state (identity otherwise)."""
         if self.weights is not None:
@@ -488,7 +482,8 @@ def schmidt_to_dense(s: SchmidtPairState, labels: tuple[str, str] = ("A", "B")) 
 
     Both factors get dimension num_modes, so num_modes >= 2 is required
     (a lone mode has no dimension-2 factor to live on) and num_modes^2
-    must fit under DENSE_CAP.
+    must fit under DENSE_CAP. Zero-based, w_n sits at row n and column
+    num_modes - 1 - n.
     """
     w = s.require_weights("schmidt_to_dense")
     m = s.num_modes
@@ -496,16 +491,15 @@ def schmidt_to_dense(s: SchmidtPairState, labels: tuple[str, str] = ("A", "B")) 
         raise ValueError("dense realization needs at least 2 modes")
     tps = TensorProductStructure((FactorSpace(labels[0], m), FactorSpace(labels[1], m)))
     amp = np.zeros((m, m), dtype=complex)
-    partners = s.pairing_values()
-    amp[np.arange(m), partners - 1] = w
+    amp[np.arange(m), np.arange(m - 1, -1, -1)] = w
     return PureState(tps, amp.reshape(-1))
 
 
 def schmidt_reduce(s: SchmidtPairState, side: str = "A") -> DensityMatrix:
     """Closed-form reduced density operator of one side: diag of |w_n|^2.
 
-    Side "A" indexes by mode n, side "B" by partner f(n); for any injective
-    pairing both spectra are the same multiset.
+    Side "A" indexes by mode n, side "B" by partner f(n), so B's diagonal
+    is A's reversed.
     """
     if side not in ("A", "B"):
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
@@ -513,9 +507,5 @@ def schmidt_reduce(s: SchmidtPairState, side: str = "A") -> DensityMatrix:
     m = s.num_modes
     if m < 2:
         raise ValueError("reduced operator needs at least 2 modes")
-    diag = np.zeros(m, dtype=float)
-    if side == "A":
-        diag[:] = p
-    else:
-        diag[s.pairing_values() - 1] = p
+    diag = p if side == "A" else p[::-1]
     return DensityMatrix((FactorSpace(side, m),), _Fresh(np.diag(diag).astype(complex)))

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import hilbert
 from .hilbert import (
     DensityMatrix,
     FactorSpace,
@@ -37,9 +38,6 @@ C_LIGHT = 2.998e8  # m/s
 L_IR_DEFAULT = 1e26  # m, infrared floor on resolvable wavelengths
 LAMBDA_CC_DEFAULT = 1.0 / L_IR_DEFAULT**2  # 1e-52 per m^2
 
-# Above this mode count a flat momentum sector stays symbolic.
-MATERIALIZE_LIMIT = 2**20
-
 
 def bell_state(labels: tuple[str, str] = ("A", "B")) -> PureState:
     """Maximally entangled two-qubit pair (|00> + |11>) / sqrt(2)."""
@@ -53,9 +51,8 @@ def qudit_bell(n: int, labels: tuple[str, str] = ("A", "B")) -> PureState:
 
     n * n must fit under DENSE_CAP (n <= 128).
     """
-    if int(n) != n or n < 2:
-        raise ValueError(f"local dimension must be an integer >= 2, got {n!r}")
     tps = TensorProductStructure((FactorSpace(labels[0], n), FactorSpace(labels[1], n)))
+    n = tps.dims[0]  # checked by FactorSpace, as a Python int
     amp = np.zeros((n, n), dtype=complex)
     amp[np.arange(n), np.arange(n)] = 1.0 / math.sqrt(n)
     return PureState(tps, amp.reshape(-1))
@@ -87,12 +84,14 @@ class SectorState:
 
     The joint state is (spin) x (momentum), so the two sectors' mutual
     informations add exactly. The spin sector may be pure or mixed; the
-    momentum sector is a Schmidt-pair state, possibly symbolic.
+    momentum sector is a Schmidt-pair state, possibly symbolic, whose
+    dense factors are always labeled momentum_labels, so the spin labels
+    must differ from them.
     """
 
     spin: PureState | DensityMatrix
     momentum: SchmidtPairState
-    momentum_labels: tuple[str, str] = ("Ap", "Bp")
+    momentum_labels = ("Ap", "Bp")  # not a field: the momentum factors' fixed labels
 
     def __post_init__(self) -> None:
         if len(self.spin.labels) != 2:
@@ -136,44 +135,31 @@ class SectorState:
         return pure_state_mutual_information(psi, ((a, ap), (b, bp)), base=base)
 
 
-def spin_momentum_state(
-    spin: PureState | DensityMatrix,
-    momentum: SchmidtPairState,
-    momentum_labels: tuple[str, str] = ("Ap", "Bp"),
-) -> SectorState:
+def spin_momentum_state(spin: PureState | DensityMatrix, momentum: SchmidtPairState) -> SectorState:
     """Bundle a spin-like sector with a momentum-like Schmidt sector."""
-    return SectorState(spin=spin, momentum=momentum, momentum_labels=momentum_labels)
+    return SectorState(spin=spin, momentum=momentum)
 
 
 def momentum_sector_state(
     num_modes: int | None = None,
     scales: "PhysicalScales | None" = None,
-    weights=None,
-    pairing=None,
 ) -> SchmidtPairState:
-    """Momentum sector with one Schmidt term per back-to-back mode pair.
+    """Flat momentum sector, one Schmidt term per back-to-back mode pair.
 
-    Pass explicit weights, or a mode count (flat distribution), or a
-    PhysicalScales whose mode count is used. Flat sectors materialize
-    their weight vector up to MATERIALIZE_LIMIT modes and stay symbolic
-    above it, so astronomical mode counts cost nothing.
+    Pass a mode count, or a PhysicalScales whose mode count is used. The
+    weight vector is materialized up to hilbert.MAX_EXPLICIT_MODES modes
+    (read at call time) and stays symbolic above it, so astronomical mode
+    counts cost nothing. Weighted sectors come from
+    SchmidtPairState.from_weights.
     """
-    if weights is not None:
-        state = SchmidtPairState.from_weights(weights, pairing=pairing)
-        if num_modes is not None and state.num_modes != num_modes:
-            raise ValueError(
-                f"num_modes {num_modes} contradicts {state.num_modes} explicit weights"
-            )
-        return state
-    if pairing is not None:
-        raise ValueError("a pairing only makes sense with explicit weights")
     if scales is not None:
         if num_modes is not None:
             raise ValueError("pass num_modes or scales, not both")
         num_modes = scales.mode_count
     if num_modes is None:
-        raise ValueError("need explicit weights, num_modes, or scales")
-    return SchmidtPairState.flat(num_modes, symbolic=num_modes > MATERIALIZE_LIMIT)
+        raise ValueError("need num_modes or scales")
+    state = SchmidtPairState.flat(num_modes)  # checks num_modes
+    return state if state.num_modes > hilbert.MAX_EXPLICIT_MODES else state.materialize()
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entgeo import __version__, cli, hilbert
-from entgeo.cli import export_edges, main
-from entgeo.geometry import build_info_graph, neg_log_weight
-from entgeo.scenarios import bell_with_environment
+from entgeo.cli import main
 
 LOG2 = math.log(2.0)
 GOLDEN = Path(__file__).parent / "golden"
@@ -188,6 +186,15 @@ class TestMomentumSweep:
         assert code == 2
         assert "channel" in err
 
+    def test_symbolic_mode_count_is_a_config_error(self, capsys):
+        # one past hilbert.MAX_EXPLICIT_MODES the sector stays symbolic
+        code, out, err = run_cli(capsys, "run", "momentum-sweep",
+                                 "--n-modes", "1048577", "--steps", "4")
+        assert code == 2
+        assert out == ""
+        assert err == ("error: sweeping 1048577 modes needs explicit weights "
+                       "beyond the materialization limit\n")
+
     # Pinned bytes of committed configurations: sweeps, graphs and the
     # property suite, whose worst violations print round-off residues, so
     # any change to a kernel's arithmetic shows there first. Sweep JSON
@@ -228,6 +235,9 @@ class TestMomentumSweep:
         ("spin-momentum_4modes.csv", "spin-momentum", ("--n-modes", "4")),
         ("spin-momentum_lapp1e-3_electron.csv", "spin-momentum",
          ("--l-app", "1e-3", "--mass", "9.109e-31")),
+        # the last materialized and the first symbolic mode count
+        ("spin-momentum_1048576modes.csv", "spin-momentum", ("--n-modes", "1048576")),
+        ("spin-momentum_1048577modes.csv", "spin-momentum", ("--n-modes", "1048577")),
     ]
 
     @pytest.mark.parametrize(
@@ -461,33 +471,6 @@ class TestOutputFile:
         code, _, err = run_cli(capsys, "run", "vanilla-bell", "--out", str(missing_dir))
         assert code == 4
         assert "i/o error" in err
-
-
-class TestExportEdges:
-    def graph(self):
-        return build_info_graph(bell_with_environment(("A", "B", "C")))
-
-    def test_to_path(self, tmp_path):
-        dest = tmp_path / "edges.csv"
-        export_edges(self.graph(), neg_log_weight(), dest, meta={"state": "ghz3"})
-        lines = dest.read_text(encoding="utf-8").splitlines()
-        assert lines[0] == "# state = ghz3"
-        assert lines[1] == "src,dst,mutual_info_nats,weight"
-        assert lines[2] == "A,B,0.693147181,0.000000000"
-        assert len(lines) == 5
-
-    def test_to_stream(self):
-        buf = io.StringIO()
-        export_edges(self.graph(), neg_log_weight(), buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "src,dst,mutual_info_nats,weight"
-        assert len(lines) == 4
-
-    def test_external_reference_changes_weights(self, tmp_path):
-        dest = tmp_path / "edges.csv"
-        export_edges(self.graph(), neg_log_weight(), dest, ref_mi=2 * LOG2)
-        last_cell = dest.read_text(encoding="utf-8").splitlines()[1].split(",")[3]
-        assert abs(float(last_cell) - LOG2) < 1e-9
 
 
 @pytest.mark.parametrize("argv,code", [

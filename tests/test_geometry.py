@@ -408,6 +408,11 @@ class TestEdgeRecords:
             assert abs(mi - LOG2) < 1e-10
             assert weight == 0.0
 
+    def test_external_reference_changes_weights(self):
+        rows = edge_records(build_info_graph(ghz(("A", "B", "C"))), neg_log_weight(),
+                            ref_mi=2 * LOG2)
+        assert abs(rows[0][3] - LOG2) < 1e-9
+
 
 # -- the array path against per-pair references written out here ----------
 

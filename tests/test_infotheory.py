@@ -228,14 +228,6 @@ class TestSchmidtMutualInformation:
             assert mutual_information_schmidt(s, base=base) == \
                 2.0 * entropy_from_spectrum(p, base=base)
 
-    def test_pairing_does_not_change_mi(self):
-        w = np.array([0.6, 0.0, 0.8], dtype=complex)
-        canonical = SchmidtPairState.from_weights(w)
-        permuted = SchmidtPairState.from_weights(w, pairing=[2, 3, 1])
-        assert abs(
-            mutual_information_schmidt(canonical) - mutual_information_schmidt(permuted)
-        ) < 1e-15
-
 
 class TestMiProperties:
     def test_ghz_monotonicity_explicit(self):

@@ -14,9 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entgeo.channels import LocalPerturbation, NonLocalPerturbation
+from entgeo.channels import (
+    DecoherenceSchedule,
+    LocalPerturbation,
+    NonLocalPerturbation,
+    haar_random_unitary,
+)
 from entgeo.hilbert import DensityMatrix, FactorSpace, PureState, SchmidtPairState, _Fresh, qubits
 from entgeo.infotheory import correlation_lower_bound, entropy_from_spectrum
+from entgeo.scenarios import qudit_bell
 
 AB = qubits(("A", "B"))
 BELL = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
@@ -86,4 +92,26 @@ BAD_INPUTS = {
 def test_messages_print_python_numbers(name):
     with pytest.raises(ValueError) as excinfo:
         BAD_INPUTS[name]()
+    assert "np." not in str(excinfo.value)
+
+
+# each builds one object from a count it must take as an integer
+COUNT_BUILDERS = {
+    "FactorSpace": lambda n: FactorSpace("A", n),
+    "qudit_bell": qudit_bell,
+    "haar_random_unitary": lambda n: haar_random_unitary(n, 0),
+    "SchmidtPairState": lambda n: SchmidtPairState(num_modes=n),
+    "ir_first modes": lambda n: DecoherenceSchedule.ir_first(n, 2, "dephase"),
+    "ir_first steps": lambda n: DecoherenceSchedule.ir_first(8, n, "dephase"),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2.5, np.float64(2.5),
+                                 np.int64(-1), "2"], ids=repr)
+@pytest.mark.parametrize("name", list(COUNT_BUILDERS))
+def test_non_integer_count_raises_value_error(name, bad):
+    # never OverflowError, numpy's size error or a silently truncated count
+    with pytest.raises(ValueError) as excinfo:
+        COUNT_BUILDERS[name](bad)
+    assert "must be an integer" in str(excinfo.value)
     assert "np." not in str(excinfo.value)

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-import entgeo.scenarios
-from entgeo.hilbert import SchmidtPairState, partial_trace, qubits
+import entgeo.hilbert
+from entgeo.hilbert import ExplicitWeightsRequired, SchmidtPairState, partial_trace, qubits
 from entgeo.infotheory import mutual_information, von_neumann_entropy
 from entgeo.scenarios import (
     HBAR,
@@ -116,9 +116,8 @@ class TestSectorState:
     def test_rejects_label_collision(self):
         with pytest.raises(ValueError, match="collide"):
             SectorState(
-                spin=bell_state(),
+                spin=bell_state(("Ap", "B")),
                 momentum=SchmidtPairState.flat(2, symbolic=False),
-                momentum_labels=("A", "Bp"),
             )
 
     def test_rejects_non_bipartite_spin(self):
@@ -133,15 +132,6 @@ class TestSectorState:
 
 
 class TestMomentumSectorState:
-    def test_explicit_weights_pass_through(self):
-        w = np.sqrt([0.7, 0.2, 0.1])
-        s = momentum_sector_state(weights=w)
-        np.testing.assert_allclose(s.probabilities(), [0.7, 0.2, 0.1], atol=1e-12)
-
-    def test_mode_count_contradiction(self):
-        with pytest.raises(ValueError, match="contradicts"):
-            momentum_sector_state(num_modes=4, weights=np.sqrt([0.5, 0.5]))
-
     def test_small_flat_sector_is_materialized(self):
         s = momentum_sector_state(num_modes=8)
         assert not s.is_symbolic
@@ -153,9 +143,13 @@ class TestMomentumSectorState:
         assert s.num_modes == 10**29
 
     def test_materialize_limit_is_configurable(self, monkeypatch):
-        monkeypatch.setattr(entgeo.scenarios, "MATERIALIZE_LIMIT", 8)
-        assert momentum_sector_state(num_modes=16).is_symbolic
+        # one limit, read at call time: the sector stays symbolic exactly
+        # where materializing refuses
+        monkeypatch.setattr(entgeo.hilbert, "MAX_EXPLICIT_MODES", 8)
         assert not momentum_sector_state(num_modes=8).is_symbolic
+        assert momentum_sector_state(num_modes=9).is_symbolic
+        with pytest.raises(ExplicitWeightsRequired):
+            SchmidtPairState.flat(9, symbolic=False)
 
     def test_scales_input(self):
         scales = physical_scales(l_app=MM, mass=ELECTRON_MASS)
@@ -171,10 +165,6 @@ class TestMomentumSectorState:
     def test_rejects_no_input(self):
         with pytest.raises(ValueError, match="need"):
             momentum_sector_state()
-
-    def test_rejects_pairing_without_weights(self):
-        with pytest.raises(ValueError, match="pairing"):
-            momentum_sector_state(num_modes=4, pairing=[4, 3, 2, 1])
 
     def test_rejects_fractional_mode_count(self):
         with pytest.raises(ValueError, match="integer"):
