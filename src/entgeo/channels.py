@@ -26,16 +26,15 @@ from .hilbert import (
     SchmidtPairState,
     TensorProductStructure,
     _count,
-    reduced_density,
-    tensor,
+    _reduced_stack,
 )
 from .infotheory import (
+    _density_mis,
     _neg_xlogx,
+    _pure_entropies,
+    _pure_mis,
     _split_pair,
-    mutual_information,
     mutual_information_schmidt,
-    pure_state_mutual_information,
-    von_neumann_entropy,
 )
 
 ATOL_UNITARY = 1e-10
@@ -48,19 +47,37 @@ def haar_random_unitary(dim: int, seed: int) -> np.ndarray:
     positive, which removes the QR gauge ambiguity and makes the
     distribution exactly Haar. Deterministic per (dim, seed).
     """
+    return _haar_unitaries(dim, [seed])[0]
+
+
+def _haar_unitaries(dim: int, seeds: Sequence[int]) -> np.ndarray:
+    """haar_random_unitary(dim, seed) for each seed, as a (k, dim, dim) stack.
+
+    Each seed draws its own Ginibre matrix; one QR runs on the stack.
+    """
     dim = _count(dim, 1, "dim")
-    rng = np.random.default_rng(seed)
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2.0)
+    z = np.empty((len(seeds), dim, dim), dtype=complex)
+    for k, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        z[k] = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2.0)
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return q * (d / np.abs(d))[:, None, :]
 
 
 def haar_random_state(tps: TensorProductStructure, seed: int) -> PureState:
     """Normalized complex-Gaussian state vector (Haar on the sphere)."""
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(tps.total_dim) + 1j * rng.standard_normal(tps.total_dim)
-    return PureState(tps, v / np.linalg.norm(v))
+    return PureState(tps, _haar_amplitudes(tps.total_dim, [seed])[0])
+
+
+def _haar_amplitudes(dim: int, seeds: Sequence[int]) -> np.ndarray:
+    """haar_random_state's amplitudes of length dim for each seed, as a (k, dim) stack."""
+    amps = np.empty((len(seeds), dim), dtype=complex)
+    for k, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        amps[k] = v / np.linalg.norm(v)
+    return amps
 
 
 def _random_schmidt(rng: np.random.Generator, num_modes: int) -> SchmidtPairState:
@@ -69,14 +86,14 @@ def _random_schmidt(rng: np.random.Generator, num_modes: int) -> SchmidtPairStat
     return SchmidtPairState.from_weights(w / np.linalg.norm(w))
 
 
-def _check_unitary(u: np.ndarray, what: str) -> np.ndarray:
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError(f"{what} must be a square matrix, got shape {u.shape}")
-    err = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
-    if not err <= ATOL_UNITARY:  # NaN fails too
-        raise ValueError(f"{what} is not unitary: max |U^dag U - I| = {err}")
-    return u
+def _check_unitaries(us: np.ndarray, what: str) -> None:
+    """Raises unless us is a (k, n, n) stack of unitaries, naming the first that is not."""
+    if us.ndim != 3 or us.shape[1] != us.shape[2]:
+        raise ValueError(f"{what} must be a square matrix, got shape {us.shape[1:]}")
+    errs = np.abs(us.conj().swapaxes(1, 2) @ us - np.eye(us.shape[1])).max(axis=(1, 2))
+    for err in errs.tolist():
+        if not err <= ATOL_UNITARY:  # NaN fails too
+            raise ValueError(f"{what} is not unitary: max |U^dag U - I| = {err}")
 
 
 def _set_labels_and_unitary(pert: LocalPerturbation | NonLocalPerturbation) -> None:
@@ -84,7 +101,8 @@ def _set_labels_and_unitary(pert: LocalPerturbation | NonLocalPerturbation) -> N
     object.__setattr__(pert, "labels", tuple(pert.labels))
     if not pert.labels or len(set(pert.labels)) != len(pert.labels):
         raise ValueError("labels must be non-empty and unique")
-    u = _check_unitary(pert.unitary, "unitary")
+    u = np.asarray(pert.unitary, dtype=complex)
+    _check_unitaries(u[None], "unitary")
     u.setflags(write=False)
     object.__setattr__(pert, "unitary", u)
 
@@ -140,24 +158,36 @@ def apply_unitary(psi: PureState, u: np.ndarray, labels: Sequence[str]) -> PureS
     The unitary is indexed row-major over the factors in the order given
     by labels; all other factors are untouched.
     """
+    u = np.asarray(u, dtype=complex)
+    return PureState(psi.tps, _apply_unitaries(psi.tps, psi.amplitudes[None], u[None], labels)[0])
+
+
+def _apply_unitaries(tps: TensorProductStructure, amps: np.ndarray, us: np.ndarray,
+                     labels: Sequence[str]) -> np.ndarray:
+    """apply_unitary's amplitudes for each state vector in the (k, D) stack amps
+    on tps, the k-th under the k-th unitary of the complex (k, a, a) stack us.
+
+    np.tensordot's arithmetic with a leading stack axis: the target axes
+    go first and one matrix product per state contracts them.
+    """
     labels = tuple(labels)
     if len(set(labels)) != len(labels):
         raise ValueError("target labels must be unique")
-    positions = [psi.tps.index_of(lb) for lb in labels]
-    dims = psi.tps.dims
+    positions = [tps.index_of(lb) for lb in labels]
+    dims = tps.dims
     act_dims = [dims[i] for i in positions]
     act_dim = math.prod(act_dims)
-    u = _check_unitary(u, "unitary")
-    if u.shape != (act_dim, act_dim):
+    _check_unitaries(us, "unitary")
+    if us.shape[1:] != (act_dim, act_dim):
         raise ValueError(
-            f"unitary must be {act_dim}x{act_dim} for factors {labels}, got {u.shape}"
+            f"unitary must be {act_dim}x{act_dim} for factors {labels}, got {us.shape[1:]}"
         )
-    t = psi.amplitudes.reshape(dims)
-    op = u.reshape(act_dims + act_dims)
-    k = len(positions)
-    t = np.tensordot(op, t, axes=(list(range(k, 2 * k)), positions))
-    t = np.moveaxis(t, list(range(k)), positions)
-    return PureState(psi.tps, t.reshape(-1))
+    count = len(amps)
+    others = [i for i in range(len(dims)) if i not in positions]
+    t = np.transpose(amps.reshape((count,) + dims), [0] + [1 + i for i in positions + others])
+    moved = (us @ t.reshape(count, act_dim, -1)).reshape([count] + [dims[i] for i in positions + others])
+    moved = np.moveaxis(moved, range(1, len(positions) + 1), [1 + i for i in positions])
+    return moved.reshape(count, -1)
 
 
 def apply_local(
@@ -174,22 +204,41 @@ def apply_local(
     information shifts by exactly twice the A-side change; that identity
     is verified numerically within atol on every call.
     """
-    side_a, side_b = _split_pair(psi.labels, split)
-    _check_known_factors(pert.labels, psi.labels)
-    s_a0 = von_neumann_entropy(reduced_density(psi, side_a))
-    s_b0 = von_neumann_entropy(reduced_density(psi, side_b))
-    psi1 = apply_unitary(psi, pert.unitary, pert.labels)
-    s_a1 = von_neumann_entropy(reduced_density(psi1, side_a))
-    s_b1 = von_neumann_entropy(reduced_density(psi1, side_b))
-    # joint state pure before and after: I = S_A + S_B throughout
-    delta_mi = (s_a1 + s_b1) - (s_a0 + s_b0)
-    delta_s_a = s_a1 - s_a0
-    if abs(delta_mi - 2.0 * delta_s_a) > atol:
-        raise ArithmeticError(
-            f"purity bookkeeping broke: delta_mi = {delta_mi}, "
-            f"2 delta_s_a = {2.0 * delta_s_a}"
-        )
-    return psi1, delta_mi, delta_s_a
+    moved, [(delta_mi, delta_s_a)] = _apply_locals(
+        psi.tps, psi.amplitudes[None], pert.unitary[None], pert.labels, split, atol)
+    return PureState(psi.tps, moved[0]), delta_mi, delta_s_a
+
+
+def _apply_locals(
+    tps: TensorProductStructure,
+    amps: np.ndarray,
+    us: np.ndarray,
+    labels: Sequence[str],
+    split: tuple[Sequence[str], Sequence[str]],
+    atol: float,
+) -> tuple[np.ndarray, list[tuple[float, float]]]:
+    """apply_local on each state vector of the (k, D) stack amps on tps, the
+    k-th under the k-th unitary of us on labels: the moved amplitudes and
+    each (delta_mi, delta_s_a). The first trial whose identity breaks raises.
+    """
+    side_a, side_b = _split_pair(tps.labels, split)
+    _check_known_factors(labels, tps.labels)
+    moved = _apply_unitaries(tps, amps, us, labels)
+    work = np.empty(2 * amps.size, dtype=complex)
+    s_a0, s_b0, s_a1, s_b1 = (_pure_entropies(stack, tps, side, work=work)
+                              for stack in (amps, moved) for side in (side_a, side_b))
+    deltas = []
+    for a0, b0, a1, b1 in zip(s_a0, s_b0, s_a1, s_b1):
+        # joint state pure before and after: I = S_A + S_B throughout
+        delta_mi = (a1 + b1) - (a0 + b0)
+        delta_s_a = a1 - a0
+        if abs(delta_mi - 2.0 * delta_s_a) > atol:
+            raise ArithmeticError(
+                f"purity bookkeeping broke: delta_mi = {delta_mi}, "
+                f"2 delta_s_a = {2.0 * delta_s_a}"
+            )
+        deltas.append((delta_mi, delta_s_a))
+    return moved, deltas
 
 
 def apply_nonlocal(
@@ -207,27 +256,49 @@ def apply_nonlocal(
     that side, so the cross-split mutual information cannot grow. A
     positive delta beyond atol raises.
     """
-    side_a, side_b = _split_pair(psi.labels, split)
-    collision = set(pert.env_labels) & set(psi.labels)
+    tps, extended, [delta_mi] = _apply_nonlocals(
+        psi.tps, psi.amplitudes[None], pert.unitary[None], pert.labels, pert._env, split, atol)
+    return PureState(tps, extended[0]), delta_mi
+
+
+def _apply_nonlocals(
+    tps: TensorProductStructure,
+    amps: np.ndarray,
+    us: np.ndarray,
+    labels: Sequence[str],
+    env: PureState,
+    split: tuple[Sequence[str], Sequence[str]],
+    atol: float,
+) -> tuple[TensorProductStructure, np.ndarray, list[float]]:
+    """apply_nonlocal on each state vector of the (k, D) stack amps on tps,
+    the k-th coupled to env by the k-th unitary of us on labels plus env's
+    factors: the extended structure and amplitudes, and each delta_mi. The
+    first trial whose MI grows beyond atol raises.
+    """
+    side_a, side_b = _split_pair(tps.labels, split)
+    collision = set(env.labels) & set(tps.labels)
     if collision:
         raise ValueError(f"environment labels collide with system labels {sorted(collision)}")
-    _check_known_factors(pert.labels, psi.labels)
-    touched = set(pert.labels)
+    _check_known_factors(labels, tps.labels)
+    touched = set(labels)
     if not (touched <= set(side_a) or touched <= set(side_b)):
         raise ValueError(
             "system factors of a nonlocal perturbation must lie on one side of the split"
         )
-    mi0 = pure_state_mutual_information(psi, (side_a, side_b))
-    extended = tensor(psi, pert._env)
-    extended = apply_unitary(extended, pert.unitary, pert.labels + pert.env_labels)
-    rho_ab = reduced_density(extended, side_a + side_b)
-    mi1 = mutual_information(rho_ab, (side_a, side_b))
-    delta_mi = mi1 - mi0
-    if delta_mi > atol:
-        raise ArithmeticError(
-            f"coupling to a fresh environment increased cross-split MI by {delta_mi}"
-        )
-    return extended, delta_mi
+    mi0 = _pure_mis(amps, tps, side_a, side_b)
+    extended_tps = TensorProductStructure(tps.factors + env.tps.factors)
+    # tensor()'s np.kron product, one leading stack axis further in
+    coupled = (amps[:, :, None] * env.amplitudes[None, None, :]).reshape(len(amps), -1)
+    extended = _apply_unitaries(extended_tps, coupled, us, tuple(labels) + env.labels)
+    rho_ab, factors = _reduced_stack(extended, extended_tps, side_a + side_b)
+    mi1 = _density_mis(rho_ab, factors, side_a, side_b)
+    deltas = [m1 - m0 for m0, m1 in zip(mi0, mi1)]
+    for delta_mi in deltas:
+        if delta_mi > atol:
+            raise ArithmeticError(
+                f"coupling to a fresh environment increased cross-split MI by {delta_mi}"
+            )
+    return extended_tps, extended, deltas
 
 
 @dataclass(frozen=True)

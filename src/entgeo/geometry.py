@@ -136,10 +136,11 @@ def _pair_stack(t: np.ndarray, pairs: list[tuple[int, int]], d: int) -> np.ndarr
     freed on return, before the caller's checks allocate their own.
     """
     joint = np.empty((len(pairs), d, d), dtype=complex)
-    work = np.empty((2, d, t.size // d), dtype=complex)
+    work = np.empty(2 * t.size, dtype=complex)
+    one = t[None]  # a stack of one tensor
     for k, (i, j) in enumerate(pairs):
         rest = [r for r in range(t.ndim) if r != i and r != j]
-        joint[k] = _contract_pure(t, [i, j], rest, work)
+        joint[k] = _contract_pure(one, [i, j], rest, work)[0]
     return joint
 
 

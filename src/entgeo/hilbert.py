@@ -15,7 +15,7 @@ import math
 import numbers
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -31,8 +31,18 @@ DENSE_CAP = 2**14
 # Elements in one block of temporaries (4 MiB of complex). Work on a d x d
 # matrix (symmetrization, the hermiticity check) runs in row blocks of at
 # most this many elements, and geometry takes its V x V x V intermediates in
-# blocks of it; work that fits in one block runs as one expression.
+# blocks of it; work that fits in one block runs as one expression. Stacks
+# of many small matrices (the property battery) take their items in runs
+# of at most one block (see _blocks).
 _BLOCK_ELEMS = 1 << 18
+
+
+def _blocks(count: int, elems: int) -> Iterator[range]:
+    """range(count) in runs of as many items of elems entries each as fit in
+    one block of _BLOCK_ELEMS, at least one item per run."""
+    step = max(1, _BLOCK_ELEMS // max(1, elems))
+    return (range(lo, min(lo + step, count)) for lo in range(0, count, step))
+
 
 # Most Schmidt weights ever materialized (16 MiB of complex weights):
 # flat(n, symbolic=False) and materialize() refuse more before allocating,
@@ -55,6 +65,8 @@ def _count(value, low: int, what: str) -> int:
     except TypeError:  # not a number, such as "2"
         pass
     shown = value if isinstance(value, numbers.Real) else repr(value)
+    if isinstance(value, int) and abs(value) >= 10**4000:  # str() refuses 4300 digits
+        shown = f"about {'-' if value < 0 else ''}1e{int(math.log10(abs(value)))}"
     raise ValueError(f"{what} must be an integer >= {low}, got {shown}")
 
 
@@ -322,14 +334,25 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
     kept, dropped = _kept_positions(rho.labels, keep)
     if not dropped:
         return rho
-    dims = list(rho.dims)
-    t = rho.matrix.reshape(dims + dims)
-    for pos in reversed(dropped):
-        half = t.ndim // 2
-        t = np.trace(t, axis1=pos, axis2=pos + half)
     kept_factors = tuple(rho.factors[i] for i in kept)
-    d = math.prod(f.dim for f in kept_factors)
-    return DensityMatrix(kept_factors, _Fresh(t.reshape(d, d)))
+    return DensityMatrix(kept_factors, _Fresh(_trace_out(rho.matrix[None], rho.dims, dropped)[0]))
+
+
+def _trace_out(mats: np.ndarray, dims: Sequence[int], dropped: Sequence[int]) -> np.ndarray:
+    """The (k, d, d) stack left by tracing the dropped factors (positions in
+    dims) out of a (k, D, D) stack of matrices over dims.
+
+    The factors go one at a time, the last position first, each by one
+    np.trace on the whole stack; the stack axis is outermost, so every
+    matrix is summed as it would be on its own.
+    """
+    count = mats.shape[0]
+    t = mats.reshape((count,) + tuple(dims) * 2)
+    for pos in reversed(dropped):
+        half = (t.ndim - 1) // 2
+        t = np.trace(t, axis1=1 + pos, axis2=1 + pos + half)
+    d = math.prod(dim for pos, dim in enumerate(dims) if pos not in dropped)
+    return t.reshape(count, d, d)
 
 
 def reduced_density(psi: PureState, keep: Iterable[str]) -> DensityMatrix:
@@ -345,51 +368,71 @@ def reduced_density(psi: PureState, keep: Iterable[str]) -> DensityMatrix:
     dims = psi.tps.dims
     if not dropped:
         return density_of(psi)
-    mat = _contract_pure(psi.amplitudes.reshape(dims), kept, dropped)
+    mat = _contract_pure(psi.amplitudes.reshape((1,) + dims), kept, dropped)[0]
     kept_factors = tuple(psi.tps.factors[i] for i in kept)
     return DensityMatrix(kept_factors, _Fresh(mat))
 
 
+def _reduced_stack(amps: np.ndarray, tps: TensorProductStructure, keep: Iterable[str],
+                   work: np.ndarray | None = None) -> tuple[np.ndarray, tuple[FactorSpace, ...]]:
+    """reduced_density(psi, keep) of each state vector psi in the (k, D) stack
+    amps on tps, as a checked (k, d, d) stack and its factors.
+
+    keep must leave a factor out. work is passed on to _contract_pure.
+    """
+    kept, dropped = _kept_positions(tps.labels, keep)
+    mats = _contract_pure(amps.reshape((len(amps),) + tps.dims), kept, dropped, work)
+    _check_density_stack(mats)
+    return mats, tuple(tps.factors[i] for i in kept)
+
+
 def _contract_pure(t: np.ndarray, kept: list[int], dropped: list[int],
                    work: np.ndarray | None = None) -> np.ndarray:
-    """Reduced density matrix of the amplitude tensor t on the kept axes.
+    """Reduced density matrices of a (k, *dims) stack t of amplitude tensors.
 
-    Copies t with the kept axes first into work[0], a (2, d_kept,
-    d_dropped) complex buffer, its conjugate into work[1], contracts the
-    dropped axes in one matrix product and symmetrizes the result, so it
-    is exactly hermitian. A caller contracting many subsets of one state
-    passes one work buffer for all of them; without it a fresh one is made.
+    kept and dropped are positions in dims. Copies the stack with the kept
+    axes first into work[0], a (k, d_kept, d_dropped) complex stack, its
+    conjugate into work[1], contracts the dropped axes in one stacked
+    matrix product (one gemm per tensor, as for a lone tensor) and
+    symmetrizes the result, so each matrix is exactly hermitian. work is a
+    flat complex buffer of 2 t.size entries; a caller contracting many
+    subsets passes one buffer for all of them, without it a fresh one is
+    made.
 
-    A result of at most _BLOCK_ELEMS entries is symmetrized in one
-    expression. A larger one is symmetrized in place, one row block
-    r0:r1 at a time: the row strip S[r0:r1, r0:] and the column strip
-    S[r1:, r0:r1] below it are both computed from entries not yet
-    overwritten, each with the one-expression arithmetic, so every bit
-    (signed zeros too) matches; mirroring conj(S[i, j]) into S[j, i]
-    would flip the sign of zero parts. The working set is the d x d
-    result plus two blocks.
+    A stack of at most _BLOCK_ELEMS entries is symmetrized in one
+    expression. A larger one is symmetrized in place, matrix by matrix and
+    one row block r0:r1 at a time: the row strip S[r0:r1, r0:] and the
+    column strip S[r1:, r0:r1] below it are both computed from entries not
+    yet overwritten, each with the one-expression arithmetic, so every bit
+    (signed zeros too) matches; mirroring conj(S[i, j]) into S[j, i] would
+    flip the sign of zero parts. The working set is the result plus two
+    blocks.
     """
+    count, dims = t.shape[0], t.shape[1:]
     order = kept + dropped
-    dk = math.prod(t.shape[i] for i in kept)
+    dk = math.prod(dims[i] for i in kept)
     if work is None:
-        work = np.empty((2, dk, t.size // dk), dtype=complex)
-    m, m_conj = work
-    np.copyto(m.reshape([t.shape[i] for i in order]), np.transpose(t, order))
+        work = np.empty(2 * t.size, dtype=complex)
+    work = work.reshape(2, count, dk, -1)
+    m, m_conj = work[0], work[1]
+    np.copyto(m.reshape([count] + [dims[i] for i in order]),
+              np.transpose(t, [0] + [1 + i for i in order]))
     np.conjugate(m, out=m_conj)
-    mat = m @ m_conj.T
+    mats = m @ m_conj.swapaxes(1, 2)
     # enforce exact hermiticity against rounding in the contraction
-    if mat.size <= _BLOCK_ELEMS:
-        return 0.5 * (mat + mat.conj().T)
+    if mats.size <= _BLOCK_ELEMS:
+        return 0.5 * (mats + mats.conj().swapaxes(1, 2))
     step = max(1, _BLOCK_ELEMS // dk)
     upper = np.empty(step * dk, dtype=complex)
     lower = np.empty(step * dk, dtype=complex)
-    for r0 in range(0, dk, step):
-        r1 = min(r0 + step, dk)
-        row = _half_sum(mat[r0:r1, r0:], mat[r0:, r0:r1], upper)
-        col = _half_sum(mat[r1:, r0:r1], mat[r0:r1, r1:], lower)
-        mat[r0:r1, r0:] = row
-        mat[r1:, r0:r1] = col
-    return mat
+    for mat in mats:
+        for r0 in range(0, dk, step):
+            r1 = min(r0 + step, dk)
+            row = _half_sum(mat[r0:r1, r0:], mat[r0:, r0:r1], upper)
+            col = _half_sum(mat[r1:, r0:r1], mat[r0:r1, r1:], lower)
+            mat[r0:r1, r0:] = row
+            mat[r1:, r0:r1] = col
+    return mats
 
 
 def _half_sum(a: np.ndarray, b: np.ndarray, buf: np.ndarray) -> np.ndarray:

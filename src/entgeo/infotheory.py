@@ -14,7 +14,19 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .hilbert import DensityMatrix, PureState, SchmidtPairState, partial_trace, reduced_density
+from .hilbert import (
+    DensityMatrix,
+    FactorSpace,
+    PureState,
+    SchmidtPairState,
+    TensorProductStructure,
+    _blocks,
+    _check_density_stack,
+    _kept_positions,
+    _reduced_stack,
+    _trace_out,
+    partial_trace,
+)
 
 # Eigensolver spectrum entries below this are treated as exact zeros.
 # Exact probabilities (Schmidt weights and their blocks) are never cut.
@@ -169,9 +181,39 @@ def pure_state_mutual_information(
     path would spend on a state known to be pure.
     """
     part_a, part_b = _split_pair(psi.labels, split)
-    s_a = von_neumann_entropy(reduced_density(psi, part_a), base=base)
-    s_b = von_neumann_entropy(reduced_density(psi, part_b), base=base)
-    return s_a + s_b
+    return _pure_mis(psi.amplitudes[None], psi.tps, part_a, part_b, base)[0]
+
+
+def _pure_mis(amps: np.ndarray, tps: TensorProductStructure, part_a: Sequence[str],
+              part_b: Sequence[str], base: float | None = None) -> list[float]:
+    """pure_state_mutual_information of each state vector in the (k, D) stack
+    amps on tps, across a checked split; both sides share one work buffer."""
+    work = np.empty(2 * amps.size, dtype=complex)
+    s_a = _pure_entropies(amps, tps, part_a, base, work)
+    s_b = _pure_entropies(amps, tps, part_b, base, work)
+    return [a + b for a, b in zip(s_a, s_b)]
+
+
+def _pure_entropies(amps: np.ndarray, tps: TensorProductStructure, keep: Sequence[str],
+                    base: float | None = None, work: np.ndarray | None = None) -> list[float]:
+    """von_neumann_entropy(reduced_density(psi, keep)) of each state vector psi
+    in the (k, D) stack amps on tps: one contraction, check and eigensolve."""
+    return _matrix_entropies(_reduced_stack(amps, tps, keep, work)[0], base)
+
+
+def _density_mis(mats: np.ndarray, factors: Sequence[FactorSpace], part_a: Sequence[str],
+                 part_b: Sequence[str], base: float | None = None) -> list[float]:
+    """mutual_information of each matrix of a checked (k, d, d) stack over
+    factors, across a checked split, with partial_trace's arithmetic."""
+    labels = [f.label for f in factors]
+    dims = [f.dim for f in factors]
+    sides = []
+    for part in (part_a, part_b):
+        side = _trace_out(mats, dims, _kept_positions(labels, part)[1])
+        _check_density_stack(side)
+        sides.append(_matrix_entropies(side, base))
+    s_ab = _matrix_entropies(mats, base)
+    return [_nonnegative_mi(a + b - ab) for a, b, ab in zip(*sides, s_ab)]
 
 
 @dataclass(frozen=True)
@@ -214,29 +256,43 @@ def check_mi_properties(
                    has at least 3 factors and reported as None otherwise
 
     Reports the worst violation per property; ok means all stayed within atol.
+
+    Trials run in blocks: a block's splits are drawn first, in the order a
+    trial-by-trial loop would draw them, then every entropy they need that
+    no earlier trial needed is computed (see _chain_entropies), then the
+    trials are scored in order. Each value is the one mutual_information
+    gives for that split: an entropy is shared only between matrices built
+    by the same partial_trace calls.
     """
     labels = list(rho.labels)
     if len(labels) < 2:
         raise ValueError("need at least 2 factors to form a bipartition")
     three_way = len(labels) >= 3
+    dim_of = {f.label: f.dim for f in rho.factors}
     rng = np.random.default_rng(seed)
+    entropy: dict[tuple[frozenset[str], ...], float] = {}
     positivity = boundedness = symmetry = monotonicity = 0.0
-    for _ in range(trials):
-        perm = list(rng.permutation(labels))
-        cut = int(rng.integers(1, len(labels)))
-        part_a, part_b = tuple(perm[:cut]), tuple(perm[cut:])
-        mi = mutual_information(rho, (part_a, part_b))
-        positivity = max(positivity, -mi)
-        bound = math.log(_dim_product(rho, part_a)) + math.log(_dim_product(rho, part_b))
-        boundedness = max(boundedness, mi - bound)
-        mi_swapped = mutual_information(rho, (part_b, part_a))
-        symmetry = max(symmetry, abs(mi - mi_swapped))
-        if three_way:
-            # discarding C can only lose correlations: I(A:B) <= I(A:BC)
-            a3, b3, c3 = _random_three_way(rng, labels)
-            mi_small = mutual_information(partial_trace(rho, a3 + b3), (a3, b3))
-            mi_big = mutual_information(rho, (a3, b3 + c3))
-            monotonicity = max(monotonicity, mi_small - mi_big)
+    for block in _blocks(trials, rho.dim**2):
+        draws = []
+        for _ in block:
+            perm = list(rng.permutation(labels))
+            cut = int(rng.integers(1, len(labels)))
+            three = _random_three_way(rng, labels) if three_way else ()
+            draws.append((frozenset(perm[:cut]), frozenset(perm[cut:]), *map(frozenset, three)))
+        splits = [_split_chains(*draw) for draw in draws]
+        needed = dict.fromkeys(c for split in splits for mi in split for c in mi if c not in entropy)
+        entropy.update(_chain_entropies(rho, list(needed)))
+        for (a, b, *_), split in zip(draws, splits):
+            mis = [_nonnegative_mi(entropy[s_a] + entropy[s_b] - entropy[s_ab])
+                   for s_a, s_b, s_ab in split]
+            positivity = max(positivity, -mis[0])
+            bound = (math.log(math.prod(dim_of[lb] for lb in a))
+                     + math.log(math.prod(dim_of[lb] for lb in b)))
+            boundedness = max(boundedness, mis[0] - bound)
+            symmetry = max(symmetry, abs(mis[0] - mis[1]))
+            if three_way:
+                # discarding C can only lose correlations: I(A:B) <= I(A:BC)
+                monotonicity = max(monotonicity, mis[2] - mis[3])
     checks = MiPropertyChecks(
         positivity=positivity,
         boundedness=boundedness,
@@ -246,9 +302,44 @@ def check_mi_properties(
     return MiPropertyReport(trials=trials, seed=seed, checks=checks, atol=atol)
 
 
-def _dim_product(rho: DensityMatrix, labels: Sequence[str]) -> int:
-    by_label = {f.label: f.dim for f in rho.factors}
-    return math.prod(by_label[lb] for lb in labels)
+def _split_chains(a: frozenset[str], b: frozenset[str], *three: frozenset[str]) -> list:
+    """The (S_A, S_B, S_AB) reduction chains (see _chain_entropies) of each
+    mutual_information one trial takes: I(A:B) and I(B:A) of rho, then for
+    a three-way split (A, B, C) I(A:B) of partial_trace(rho, A + B) and
+    I(A:BC) of rho."""
+    chains = [((a,), (b,), ()), ((b,), (a,), ())]
+    if three:
+        a3, b3, c3 = three
+        chains += [((a3 | b3, a3), (a3 | b3, b3), (a3 | b3,)), ((a3,), (b3 | c3,), ())]
+    return chains
+
+
+def _chain_entropies(rho: DensityMatrix,
+                     chains: Sequence[tuple[frozenset[str], ...]]) -> dict:
+    """Von Neumann entropy of each reduction chain of rho.
+
+    The chain () names rho, (K,) partial_trace(rho, K) and (K, J)
+    partial_trace(partial_trace(rho, K), J). Matrices of one size are
+    eigensolved as stacks of up to one block of _BLOCK_ELEMS entries, so
+    each entropy is von_neumann_entropy's bits for its matrix.
+    """
+    dim_of = {f.label: f.dim for f in rho.factors}
+    by_dim: dict[int, list] = {}
+    for chain in chains:
+        d = math.prod(dim_of[lb] for lb in chain[-1]) if chain else rho.dim
+        by_dim.setdefault(d, []).append(chain)
+    out = {}
+    for d, group in by_dim.items():
+        for run in _blocks(len(group), d * d):
+            part = [group[i] for i in run]
+            out.update(zip(part, _matrix_entropies(np.array([_chain_matrix(rho, c) for c in part]))))
+    return out
+
+
+def _chain_matrix(rho: DensityMatrix, chain: tuple[frozenset[str], ...]) -> np.ndarray:
+    for keep in chain:
+        rho = partial_trace(rho, keep)
+    return rho.matrix
 
 
 def _random_three_way(rng: np.random.Generator, labels: list[str]):
@@ -301,23 +392,44 @@ def correlation_lower_bound(
             f"observables must match factor dimensions {(dc, dd)}, "
             f"got {oc.shape} and {od.shape}"
         )
-    for name, o in (("obs_c", oc), ("obs_d", od)):
-        if not np.abs(o - o.conj().T).max() <= 1e-10:  # NaN fails too
+    return _correlation_bounds(rho.matrix[None], rho.factors, oc[None], od[None], base)[0]
+
+
+def _correlation_bounds(mats: np.ndarray, factors: Sequence[FactorSpace], obs_c: np.ndarray,
+                        obs_d: np.ndarray, base: float | None = None) -> list[CorrelationBound]:
+    """correlation_lower_bound of each (rho, O_C, O_D) in a checked (k, d, d)
+    stack over two factors and (k, d_C, d_C), (k, d_D, d_D) observable stacks.
+
+    Each condition is checked for the whole stack, then raised for the
+    first failing trial, in correlation_lower_bound's order.
+    """
+    for name, obs in (("obs_c", obs_c), ("obs_d", obs_d)):
+        herm_err = np.maximum.reduce(np.abs(obs - obs.conj().swapaxes(1, 2)), axis=(1, 2))
+        if not all(err <= 1e-10 for err in herm_err.tolist()):  # NaN fails too
             raise ValueError(f"{name} must be hermitian")
-    nc, nd = operator_norm(oc), operator_norm(od)
-    if nc <= 0.0 or nd <= 0.0:
+    norms_c, norms_d = (np.abs(np.linalg.eigvalsh(obs)).max(axis=1).tolist()
+                        for obs in (obs_c, obs_d))
+    if not all(nc > 0.0 and nd > 0.0 for nc, nd in zip(norms_c, norms_d)):
         raise ValueError("observables must be nonzero")
-    lc, ld = rho.labels
-    rho_c = partial_trace(rho, (lc,)).matrix
-    rho_d = partial_trace(rho, (ld,)).matrix
-    joint = float(np.real(np.trace(rho.matrix @ np.kron(oc, od))))
-    mean_c = float(np.real(np.trace(rho_c @ oc)))
-    mean_d = float(np.real(np.trace(rho_d @ od)))
-    cov = joint - mean_c * mean_d
+    count = len(mats)
+    dc, dd = dims = [f.dim for f in factors]
+    rho_c, rho_d = (_trace_out(mats, dims, [pos]) for pos in (1, 0))
+    _check_density_stack(rho_c)
+    _check_density_stack(rho_d)
+    # np.kron's broadcast product, one leading stack axis further in
+    kron = (obs_c[:, :, None, :, None] * obs_d[:, None, :, None, :]).reshape(count, dc * dd, -1)
+    joint, mean_c, mean_d = (np.real(np.trace(a @ b, axis1=1, axis2=2)).tolist()
+                             for a, b in ((mats, kron), (rho_c, obs_c), (rho_d, obs_d)))
     factor = 1.0 / _base_factor(base)
-    try:
-        bound = cov**2 / (2.0 * nc**2 * nd**2) * factor
-    except OverflowError:  # a huge norm or covariance squared
-        raise ValueError(f"observable norms {nc!r}, {nd!r} overflow the bound") from None
-    mi = mutual_information(rho, ((lc,), (ld,)), base=base)
-    return CorrelationBound(covariance=cov, bound=bound, mutual_info=mi)
+    covs, bounds = [], []
+    for nc, nd, j, mc, md in zip(norms_c, norms_d, joint, mean_c, mean_d):
+        cov = j - mc * md
+        try:
+            bound = cov**2 / (2.0 * nc**2 * nd**2) * factor
+        except OverflowError:  # a huge norm or covariance squared
+            raise ValueError(f"observable norms {nc!r}, {nd!r} overflow the bound") from None
+        covs.append(cov)
+        bounds.append(bound)
+    mis = _density_mis(mats, factors, (factors[0].label,), (factors[1].label,), base)
+    return [CorrelationBound(covariance=cov, bound=bound, mutual_info=mi)
+            for cov, bound, mi in zip(covs, bounds, mis)]

@@ -574,7 +574,7 @@ class TestArrayPathMatchesPerPairPath:
             raise AssertionError("build_info_graph went through reduced_density")
 
         monkeypatch.setattr(entgeo.hilbert, "reduced_density", per_pair)
-        monkeypatch.setattr(entgeo.infotheory, "reduced_density", per_pair)
+        monkeypatch.setattr(entgeo.infotheory, "reduced_density", per_pair, raising=False)
         monkeypatch.setattr(entgeo.geometry, "reduced_density", per_pair, raising=False)
         graph = build_info_graph(haar_state(("Q0", "Q1", "Q2", "Q3"), 5))
         assert len(graph.edges) == 6

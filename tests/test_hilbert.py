@@ -63,6 +63,17 @@ class TestFactorSpace:
         with pytest.raises(ValueError):
             FactorSpace("", 2)
 
+    @pytest.mark.parametrize("exponent, shown", [
+        (5000, "about -1e5000"),
+        (4000, "about -1e4000"),
+        (3999, "-1" + "0" * 3999),  # still printable in full
+    ])
+    def test_rejected_huge_integer_is_shown_by_magnitude(self, exponent, shown):
+        # str() refuses ints past 4300 digits, so the message gives about 1eK
+        with pytest.raises(ValueError) as info:
+            FactorSpace("A", -10**exponent)
+        assert str(info.value) == f"factor dimension must be an integer >= 2, got {shown}"
+
 
 class TestTensorProductStructure:
     def test_dims_labels_total(self):
@@ -452,7 +463,7 @@ class TestRowBlockedDensePath:
         t = amplitude_tensor(dims, seed=d, real=real)
         kept = list(range(len(dims) - n_kept, len(dims)))[::-1]
         dropped = [i for i in range(len(dims)) if i not in kept]
-        got = hilbert._contract_pure(t, kept, dropped)
+        got = hilbert._contract_pure(t[None], kept, dropped)[0]
         assert got.shape == (d, d)
         # tobytes, so a zero whose sign flipped counts as a difference
         assert got.tobytes() == reference_contract(t, kept, dropped).tobytes()
@@ -464,8 +475,21 @@ class TestRowBlockedDensePath:
             t = amplitude_tensor((3, 2, 3, 2), seed=block_elems, real=real)
             for kept in ([0, 2], [2, 0, 1], [3]):
                 dropped = [i for i in range(4) if i not in kept]
-                got = hilbert._contract_pure(t, kept, dropped)
+                got = hilbert._contract_pure(t[None], kept, dropped)[0]
                 assert got.tobytes() == reference_contract(t, kept, dropped).tobytes()
+
+    @pytest.mark.parametrize("block_elems", [1, 40, 1 << 18])
+    def test_contracted_stack_matches_each_tensor(self, monkeypatch, block_elems):
+        # a stack is contracted as each of its tensors would be alone, also
+        # when it is symmetrized matrix by matrix in row blocks
+        monkeypatch.setattr(hilbert, "_BLOCK_ELEMS", block_elems)
+        stack = np.array([amplitude_tensor((3, 2, 3, 2), seed=k) for k in range(5)])
+        work = np.empty(2 * stack.size, dtype=complex)  # one buffer for every subset
+        for kept in ([0, 2], [2, 0, 1], [3]):
+            dropped = [i for i in range(4) if i not in kept]
+            got = hilbert._contract_pure(stack, kept, dropped, work)
+            for k, t in enumerate(stack):
+                assert got[k].tobytes() == reference_contract(t, kept, dropped).tobytes()
 
     @pytest.mark.parametrize("d", list(BLOCK_DIMS))
     def test_hermiticity_check_matches_one_expression(self, d):
