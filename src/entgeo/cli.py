@@ -30,21 +30,23 @@ from .channels import (
     DecoherenceSchedule,
     _apply_locals,
     _apply_nonlocals,
+    _branch_mis,
     _haar_amplitudes,
     _haar_unitaries,
     _random_schmidt,
-    dephase_modes,
     decoherence_sweep,
     haar_random_state,
-    localize_modes,
 )
 from .geometry import (
     NoCorrelationsError,
+    _distance_matrices,
+    _info_graph,
+    _metric_worsts,
+    _pair_mis,
+    _weight_matrix,
     build_info_graph,
     edge_records,
     edge_weight,
-    emergent_metric,
-    metric_check,
     neg_log_weight,
 )
 from .hilbert import (
@@ -608,38 +610,45 @@ def _battery_nonlocal_monotone(trials: int, seed: int) -> float:
 def _battery_decoherence_order(trials: int, seed: int) -> float:
     worst = 0.0
     rng = np.random.default_rng(seed + 53)
-    for _ in range(trials):
-        num_modes = int(rng.integers(4, 13))
-        s = _random_schmidt(rng, num_modes)
-        perm = rng.permutation(num_modes) + 1
-        d_small = frozenset(int(n) for n in perm[: num_modes // 3])
-        d_big = d_small | frozenset(int(n) for n in perm[num_modes // 3 : 2 * num_modes // 3])
-        base_mi = mutual_information_schmidt(s)
-        _, deph_small = dephase_modes(s, d_small)
-        _, deph_big = dephase_modes(s, d_big)
-        _, loc_small = localize_modes(s, d_small)
-        _, loc_all = localize_modes(s, range(1, num_modes + 1))
-        worst = max(worst, deph_small - base_mi)   # decohering cannot raise MI
-        worst = max(worst, deph_big - deph_small)  # more modes, less MI
-        worst = max(worst, loc_small - deph_small)  # localize is harsher
-        worst = max(worst, abs(loc_all))           # full localization kills MI
+    for block in _blocks(trials, 12):
+        draws = []
+        for _ in block:
+            num_modes = int(rng.integers(4, 13))
+            s = _random_schmidt(rng, num_modes)
+            draws.append((s, rng.permutation(num_modes) + 1))
+        for s, perm in draws:
+            # dephase_modes and localize_modes on sorted mode arrays, in range by construction
+            n = len(perm)
+            p = s.probabilities()
+            small = np.sort(perm[: n // 3])
+            mixtures = ((small, False), (np.sort(perm[: 2 * n // 3]), False),
+                        (small, True), (np.arange(1, n + 1), True))
+            deph_small, deph_big, loc_small, loc_all = (
+                max(_branch_mis(p, [mix])[-1], 0.0) for mix in mixtures)
+            base_mi = mutual_information_schmidt(s)
+            worst = max(worst, deph_small - base_mi)   # decohering cannot raise MI
+            worst = max(worst, deph_big - deph_small)  # more modes, less MI
+            worst = max(worst, loc_small - deph_small)  # localize is harsher
+            worst = max(worst, abs(loc_all))           # full localization kills MI
     return worst
 
 
 def _battery_metric_axioms(trials: int, seed: int) -> float:
     worst = 0.0
-    labels = ("Q0", "Q1", "Q2", "Q3", "Q4")
+    tps = qubits(("Q0", "Q1", "Q2", "Q3", "Q4"))
     wf = neg_log_weight(1.0)
-    for i in range(trials):
-        psi = haar_random_state(qubits(labels), seed + 61 * (i + 1))
-        try:
-            graph = build_info_graph(psi)
-        except NoCorrelationsError:
-            continue  # vanishingly unlikely for Haar states, but not a violation
-        metric = emergent_metric(graph, wf)
-        report = metric_check(metric)
-        worst = max(worst, report.nonnegativity, report.symmetry,
-                    report.triangle, report.diagonal)
+    for block in _blocks(trials, 10 * 4 * 4):
+        amps = _haar_amplitudes(tps.total_dim, [seed + 61 * (i + 1) for i in block])
+        lengths = []
+        for mis in _pair_mis(amps, tps.dims):
+            try:
+                graph = _info_graph(tps.labels, mis)
+            except NoCorrelationsError:
+                continue  # vanishingly unlikely for Haar states, but not a violation
+            lengths.append(_weight_matrix(graph, wf, graph.i0))
+        if lengths:
+            for worsts in _metric_worsts(_distance_matrices(np.array(lengths))).tolist():
+                worst = max(worst, *worsts)
     return worst
 
 
@@ -698,10 +707,13 @@ def _scenario_property_suite(params: dict[str, Any], seed: int) -> TableResult:
     evaluates them as stacks of one shape, one block of hilbert._BLOCK_ELEMS
     entries at a time, through the kernels behind apply_local,
     apply_nonlocal, pure_state_mutual_information, correlation_lower_bound
-    and check_mi_properties. Each trial gets the bits it gets alone, so the
-    output bytes are those of the per-trial arithmetic. decoherence-order
-    and metric-axioms still run trial by trial. A tripped in-op invariant
-    (ArithmeticError) makes its battery's worst violation inf.
+    and check_mi_properties; metric-axioms builds its graphs, distances and
+    axiom checks the same way, through the kernels behind build_info_graph,
+    emergent_metric and metric_check, and decoherence-order calls the one
+    branch-decoherence kernel once per mixture. Each trial gets the bits it
+    gets alone, so the output bytes are those of the per-trial arithmetic.
+    A tripped in-op invariant (ArithmeticError) makes its battery's worst
+    violation inf.
     """
     trials = params["trials"]
     rows = []

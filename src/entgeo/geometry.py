@@ -9,13 +9,14 @@ zero distance between distinct, perfectly correlated vertices is allowed.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .hilbert import _BLOCK_ELEMS, PureState, _check_density_stack, _contract_pure
+from .hilbert import PureState, _blocks, _check_density_stack, _contract_pure
 from .infotheory import _matrix_entropies, _nonnegative_mi
 from .infotheory import mutual_information  # noqa: F401  (re-exported)
 
@@ -80,46 +81,58 @@ def build_info_graph(psi: PureState) -> InfoGraph:
     """Pairwise-MI graph of a multi-factor pure state.
 
     Computes I(p:q) = S(p) + S(q) - S(pq) for every unordered pair of
-    factors and keeps pairs at or above MI_EDGE_FLOOR. Pairs are grouped by
-    their dimensions (d_p, d_q): each group's two-factor reduced density
-    matrices are contracted one pair at a time into a preallocated stack,
-    validated as a stack, and the joint matrices and both marginals of
-    every pair go through one stacked eigensolve each. The arithmetic is
+    factors and keeps pairs at or above MI_EDGE_FLOOR (see _pair_mis and
+    _info_graph, of which this is the one-state case). The arithmetic is
     that of reduced_density, partial_trace and mutual_information, so
     every edge carries the same bits as the per-pair path would.
     Raises NoCorrelationsError when nothing survives (product states).
     """
-    labels = psi.labels
-    if len(labels) < 2:
+    if len(psi.labels) < 2:
         raise ValueError("need at least 2 factors to build a graph")
-    dims = psi.tps.dims
-    n = len(labels)
-    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            groups.setdefault((dims[i], dims[j]), []).append((i, j))
-    t = psi.amplitudes.reshape(dims)
-    mi_of: dict[tuple[int, int], float] = {}
-    for (dp, dq), pairs in groups.items():
+    return _info_graph(psi.labels, _pair_mis(psi.amplitudes[None], psi.tps.dims)[0])
+
+
+def _pair_mis(amps: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    """Unchecked I(p:q) of every factor pair p < q, in that order, for each
+    state vector of the (k, D) stack amps over factors of dims, as (k, P).
+
+    Pairs are grouped by (d_p, d_q). Each group's reductions of all k states
+    go into one (k, P, d, d) stack (see _pair_stack), validated as one
+    stack; the joints and both marginals take one eigensolve each.
+    """
+    count, n = len(amps), len(dims)
+    pairs = list(itertools.combinations(range(n), 2))
+    groups: dict[tuple[int, int], list[int]] = {}
+    for x, (i, j) in enumerate(pairs):
+        groups.setdefault((dims[i], dims[j]), []).append(x)
+    t = amps.reshape((count,) + tuple(dims))
+    mis = np.empty((count, len(pairs)))
+    for (dp, dq), xs in groups.items():
+        d = dp * dq
         if n == 2:
             # the whole state: |psi><psi| as density_of builds it
-            joint = np.outer(psi.amplitudes, psi.amplitudes.conj())[None]
+            joint = amps[:, :, None] * amps.conj()[:, None, :]
         else:
-            joint = _pair_stack(t, pairs, dp * dq)
+            joint = _pair_stack(t, [pairs[x] for x in xs], d).reshape(-1, d, d)
         _check_density_stack(joint)
         # partial_trace's contractions, one leading stack axis further in
-        split = joint.reshape(len(pairs), dp, dq, dp, dq)
+        split = joint.reshape(-1, dp, dq, dp, dq)
         side_p = np.trace(split, axis1=2, axis2=4)
         side_q = np.trace(split, axis1=1, axis2=3)
         _check_density_stack(side_p)
         _check_density_stack(side_q)
-        s_p = _matrix_entropies(side_p)
-        s_q = _matrix_entropies(side_q)
-        s_pq = _matrix_entropies(joint)
-        for k, pair in enumerate(pairs):
-            mi_of[pair] = s_p[k] + s_q[k] - s_pq[k]
+        s_p, s_q, s_pq = (np.reshape(_matrix_entropies(m), (count, len(xs)))
+                          for m in (side_p, side_q, joint))
+        mis[:, xs] = s_p + s_q - s_pq
+    return mis
+
+
+def _info_graph(labels: tuple[str, ...], mis: np.ndarray) -> InfoGraph:
+    """The InfoGraph of one state's pair MIs in _pair_mis order: each is
+    checked not to be negative, in that order, and those at or above
+    MI_EDGE_FLOOR become edges; NoCorrelationsError when none is."""
     edges: dict[tuple[str, str], float] = {}
-    for (i, j), mi in sorted(mi_of.items()):
+    for (i, j), mi in zip(itertools.combinations(range(len(labels)), 2), mis.tolist()):
         if _nonnegative_mi(mi) >= MI_EDGE_FLOOR:
             edges[_canonical_pair(labels[i], labels[j])] = mi
     if not edges:
@@ -130,17 +143,17 @@ def build_info_graph(psi: PureState) -> InfoGraph:
 
 
 def _pair_stack(t: np.ndarray, pairs: list[tuple[int, int]], d: int) -> np.ndarray:
-    """(P, d, d) stack of the two-factor reductions of amplitude tensor t.
+    """(k, P, d, d) stack of the two-factor reductions of each amplitude
+    tensor in the (k, *dims) stack t.
 
-    Every pair reuses one work buffer for its transposed copy, which is
+    Every pair reuses one work buffer for its transposed copies, which is
     freed on return, before the caller's checks allocate their own.
     """
-    joint = np.empty((len(pairs), d, d), dtype=complex)
+    joint = np.empty((len(t), len(pairs), d, d), dtype=complex)
     work = np.empty(2 * t.size, dtype=complex)
-    one = t[None]  # a stack of one tensor
-    for k, (i, j) in enumerate(pairs):
-        rest = [r for r in range(t.ndim) if r != i and r != j]
-        joint[k] = _contract_pure(one, [i, j], rest, work)[0]
+    for x, (i, j) in enumerate(pairs):
+        rest = [r for r in range(t.ndim - 1) if r != i and r != j]
+        joint[:, x] = _contract_pure(t, [i, j], rest, work)
     return joint
 
 
@@ -243,7 +256,8 @@ def _weight_matrix(graph: InfoGraph, wf: WeightFunction, ref_mi: float) -> np.nd
 
 
 def _shortest_paths(w: np.ndarray, sources: Sequence[int]) -> np.ndarray:
-    """Shortest path lengths from each source (one row each) under lengths w.
+    """Shortest path lengths from each source under each V x V length matrix
+    of the (k, V, V) stack w: a (k, len(sources), V) stack, one row per source.
 
     Min-plus relaxation to a fixed point: each round extends every row by
     one edge, d[s, v] = min(d[s, v], min_u d[s, u] + w[u, v]). A path's
@@ -252,31 +266,34 @@ def _shortest_paths(w: np.ndarray, sources: Sequence[int]) -> np.ndarray:
     same float Dijkstra returns. Floyd-Warshall's d[i, k] + d[k, j] joins
     two partial sums instead and can land an ulp away. With lengths >= 0
     no shortest path needs more than V - 1 edges, so V rounds suffice.
-    Rows are relaxed in blocks (see _row_blocks), so the rows x V x V sums
-    of a round never take more than O(V^2 + _BLOCK_ELEMS) memory.
+    The k * len(sources) rows are relaxed in blocks of hilbert._blocks,
+    each beside a copy of its own matrix, so a round's terms stay within
+    one block; a row at its fixed point stays there while its block goes on.
     """
-    n = w.shape[0]
-    d = np.full((len(sources), n), math.inf)
-    d[np.arange(len(sources)), sources] = 0.0
-    for rows in _row_blocks(len(sources), n):
-        block = d[rows]
+    count, n = w.shape[:2]
+    total = count * len(sources)
+    d = np.full((total, n), math.inf)
+    d[np.arange(total), np.tile(sources, count)] = 0.0
+    owner = np.repeat(np.arange(count), len(sources))
+    for run in _blocks(total, n * n):
+        run = slice(run.start, run.stop)
+        block, lengths = d[run], w[owner[run]]
         for _ in range(n):
-            nxt = np.minimum(block, (block[:, :, None] + w[None, :, :]).min(axis=1))
+            nxt = np.minimum(block, (block[:, :, None] + lengths).min(axis=1))
             if np.array_equal(nxt, block):
                 break
             block = nxt
-        d[rows] = block
-    return d
+        d[run] = block
+    return d.reshape(count, len(sources), n)
 
 
-def _row_blocks(rows: int, n: int) -> list[slice]:
-    """Slices over rows, as many per slice as fit rows x n x n in _BLOCK_ELEMS.
-
-    That caps one b x V x V intermediate of _shortest_paths and
-    metric_check at 2 MiB of floats; b shrinks as V grows, down to one row.
+def _distance_matrices(w: np.ndarray) -> np.ndarray:
+    """emergent_metric's distances under each V x V length matrix of the
+    (k, V, V) stack w, as symmetric matrices with a zero diagonal: the pair
+    (p, q), p before q in vertex order, keeps the value measured from p.
     """
-    step = max(1, _BLOCK_ELEMS // max(1, n * n))
-    return [slice(lo, lo + step) for lo in range(0, rows, step)]
+    d = _shortest_paths(w, range(w.shape[1]))
+    return np.where(np.triu(np.ones(w.shape[1:], dtype=bool)), d, d.swapaxes(1, 2))
 
 
 def emergent_distance(graph: InfoGraph, wf: WeightFunction, p: str, q: str,
@@ -292,7 +309,7 @@ def emergent_distance(graph: InfoGraph, wf: WeightFunction, p: str, q: str,
     if p == q:
         return 0.0
     ref = graph.i0 if ref_mi is None else ref_mi
-    row = _shortest_paths(_weight_matrix(graph, wf, ref), [graph.vertices.index(p)])[0]
+    row = _shortest_paths(_weight_matrix(graph, wf, ref)[None], [graph.vertices.index(p)])[0, 0]
     return float(row[graph.vertices.index(q)])
 
 
@@ -337,11 +354,12 @@ def emergent_metric(graph: InfoGraph, wf: WeightFunction,
     are relaxed together by min-plus steps (see _shortest_paths), which
     matches Dijkstra from each source bit for bit; Floyd-Warshall would
     not. The pair (p, q) with p before q in vertex order keeps the value
-    measured from p.
+    measured from p (see _distance_matrices, of which this is the
+    one-graph case).
     """
     ref = graph.i0 if ref_mi is None else ref_mi
     verts = graph.vertices
-    d = _shortest_paths(_weight_matrix(graph, wf, ref), range(len(verts)))
+    d = _distance_matrices(_weight_matrix(graph, wf, ref)[None])[0]
     rows, cols = np.triu_indices(len(verts), 1)
     table = {(verts[i], verts[j]): dist
              for i, j, dist in zip(rows.tolist(), cols.tolist(), d[rows, cols].tolist())}
@@ -375,34 +393,51 @@ def metric_check(
     entries mirror the forward value. Triangle inequality is checked on all
     ordered triples with finite legs; inf legs assert nothing. A NaN or
     -inf distance counts as an infinite nonnegativity violation (a NaN on
-    the diagonal as an infinite diagonal one). All checks broadcast over a
-    V x V distance matrix; the triangle check takes the p rows in blocks
-    (see _row_blocks), so its V x V x V terms stay within O(V^2 +
-    _BLOCK_ELEMS) memory.
+    the diagonal as an infinite diagonal one). The checks broadcast over
+    the V x V distance matrix (see _metric_worsts, of which this is the
+    one-matrix case).
     """
     d = _table_matrix(metric.table if isinstance(metric, EmergentMetric) else metric)
-    n = d.shape[0]
+    return MetricReport(*_metric_worsts(d[None])[0].tolist(), atol=atol)
+
+
+def _metric_worsts(d: np.ndarray) -> np.ndarray:
+    """metric_check's worst (nonnegativity, symmetry, triangle, diagonal)
+    violations of each matrix of the (k, V, V) stack d, as (k, 4).
+
+    The V x V triangle terms of the k * V rows p are taken in blocks of
+    hilbert._blocks, each row beside a copy of its own matrix, so the
+    V x V x V terms stay within one block.
+    """
+    count, n = d.shape[:2]
     off = ~np.eye(n, dtype=bool)
     infinite = np.isinf(d)
+    flipped = infinite.swapaxes(1, 2)
     with np.errstate(invalid="ignore"):
-        neg = -d[off]
+        neg = -d
         neg[np.isnan(neg)] = math.inf
-        diag = np.abs(np.diagonal(d))
+        diag = np.abs(np.diagonal(d, axis1=1, axis2=2))
         diag[np.isnan(diag)] = math.inf
-        gap = np.abs(d - d.T)
-        gap[infinite & infinite.T] = 0.0
-        gap[infinite ^ infinite.T] = math.inf
-    triangle = 0.0
-    for rows in _row_blocks(n, n):
+        gap = np.abs(d - d.swapaxes(1, 2))
+        gap[infinite & flipped] = 0.0
+        gap[infinite ^ flipped] = math.inf
+    # row b of these is row p of matrix owner[b]
+    rows, off_rows = d.reshape(count * n, n), np.tile(off, (count, 1))
+    finite_rows = ~infinite.reshape(count * n, n)
+    owner = np.repeat(np.arange(count), n)
+    triangle = np.empty(count * n)
+    for run in _blocks(count * n, n * n):
+        run = slice(run.start, run.stop)
+        d_p, off_p = rows[run], off_rows[run]
         with np.errstate(invalid="ignore"):
-            # tri[p, r, q] = d(p, q) - (d(p, r) + d(r, q)), p in this block
-            legs = d[rows, :, None] + d[None, :, :]
-            tri = d[rows, None, :] - legs
-        checked = (off[rows, :, None] & off[rows, None, :] & off[None, :, :]
-                   & ~infinite[rows, None, :] & ~np.isinf(legs))
-        triangle = max(triangle, _worst(tri[checked]))
-    return MetricReport(nonnegativity=_worst(neg), symmetry=_worst(gap[off]),
-                        triangle=triangle, diagonal=_worst(diag), atol=atol)
+            # tri[b, r, q] = d(p, q) - (d(p, r) + d(r, q))
+            legs = d_p[:, :, None] + d[owner[run]]
+            tri = d_p[:, None, :] - legs
+        checked = (off_p[:, :, None] & off_p[:, None, :] & off
+                   & finite_rows[run, None, :] & ~np.isinf(legs))
+        triangle[run] = _worst(tri, (1, 2), checked)
+    return np.stack([_worst(neg, (1, 2), off), _worst(gap, (1, 2), off),
+                     _worst(triangle.reshape(count, n), 1), _worst(diag, 1)], axis=1)
 
 
 def _table_matrix(metric: Mapping[tuple[str, str], float]) -> np.ndarray:
@@ -427,10 +462,11 @@ def _table_matrix(metric: Mapping[tuple[str, str], float]) -> np.ndarray:
     return np.where(have, d, d.T)
 
 
-def _worst(violations: np.ndarray) -> float:
-    """Largest positive entry, NaN entries skipped; 0.0 when there is none."""
-    hits = violations[violations > 0.0]
-    return float(hits.max()) if hits.size else 0.0
+def _worst(violations: np.ndarray, axis: int | tuple[int, ...],
+           where: np.ndarray | bool = True) -> np.ndarray:
+    """Largest positive entry of violations under where, along axis; NaN
+    entries are skipped and 0.0 stands where there is none."""
+    return np.maximum.reduce(violations, axis=axis, initial=0.0, where=where & (violations > 0.0))
 
 
 def edge_records(graph: InfoGraph, wf: WeightFunction,

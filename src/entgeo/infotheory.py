@@ -49,8 +49,9 @@ def _neg_xlogx(p: np.ndarray) -> float:
     """-sum p log p over the positive entries of p (0 log 0 = 0).
 
     The one entropy kernel. Exact probabilities go in as they are, so only
-    exact zeros drop out; eigensolver output is cut at EIG_CLAMP by the
-    caller first.
+    exact zeros drop out. Eigensolver output goes through
+    _spectrum_entropies, which cuts it at EIG_CLAMP and sums each row as
+    this kernel would.
     """
     pos = p[p > 0.0]
     if pos.size == 0:
@@ -84,13 +85,26 @@ def _matrix_entropies(mats: np.ndarray, base: float | None = None) -> list[float
 def _spectrum_entropies(spectra: np.ndarray, base: float | None, bad: str) -> list[float]:
     """Entropy of each row of a (k, n) stack of spectra.
 
-    Each entropy is summed on its own row by _neg_xlogx over the entries
-    above EIG_CLAMP; padding rows to a common length and summing the
-    stack would regroup numpy's pairwise sum and move the last bits.
+    A row's entropy is _neg_xlogx of its entries above EIG_CLAMP, clamped
+    at 0. The kept entries of the whole stack are gathered once and their
+    terms p log p taken in one pass. Rows are then summed group by group,
+    grouped by how many entries they keep: the m terms of each row in a
+    group form one row of a (rows, m) array, summed along axis 1, which is
+    numpy's pairwise sum of that row alone. Padding rows to a common length
+    and summing the stack would regroup that sum and move the last bits.
+    A row that keeps nothing has entropy 0.
     """
     _check_spectra(spectra, bad)
-    factor = _base_factor(base)
-    return [max(_neg_xlogx(p[p > EIG_CLAMP]), 0.0) / factor for p in spectra]
+    kept = spectra > EIG_CLAMP
+    counts = np.count_nonzero(kept, axis=1)
+    terms = spectra[kept]
+    terms *= np.log(terms)
+    starts = np.cumsum(counts) - counts
+    ents = np.zeros(len(spectra))
+    for m in set(counts.tolist()) - {0}:
+        rows = np.flatnonzero(counts == m)
+        ents[rows] = -terms[starts[rows, None] + np.arange(m)].sum(axis=1)
+    return (np.where(ents < 0.0, 0.0, ents) / _base_factor(base)).tolist()
 
 
 def _check_spectra(spectra: np.ndarray, bad: str) -> None:

@@ -2,11 +2,11 @@
 
 Each function is the property-suite battery of the same name written one
 trial at a time through the public API: every trial draws its inputs and
-goes through apply_local, apply_nonlocal, reduced_density and the other
-per-state calls before the next trial draws. The CLI's batteries and
-check_mi_properties draw the same inputs in the same generator order and
-evaluate them as stacks, so their worst values must equal these bit for
-bit.
+goes through apply_local, apply_nonlocal, reduced_density, dephase_modes,
+build_info_graph and the other per-state calls before the next trial
+draws. The CLI's batteries and check_mi_properties draw the same inputs in
+the same generator order and evaluate them as stacks, so their worst
+values must equal these bit for bit.
 """
 
 import math
@@ -19,8 +19,17 @@ from entgeo.channels import (
     _random_schmidt,
     apply_local,
     apply_nonlocal,
+    dephase_modes,
     haar_random_state,
     haar_random_unitary,
+    localize_modes,
+)
+from entgeo.geometry import (
+    NoCorrelationsError,
+    build_info_graph,
+    emergent_metric,
+    metric_check,
+    neg_log_weight,
 )
 from entgeo.hilbert import (
     FactorSpace,
@@ -131,6 +140,41 @@ def nonlocal_monotone(trials, seed):
     return worst
 
 
+def decoherence_order(trials, seed):
+    worst = 0.0
+    rng = np.random.default_rng(seed + 53)
+    for _ in range(trials):
+        num_modes = int(rng.integers(4, 13))
+        s = _random_schmidt(rng, num_modes)
+        perm = rng.permutation(num_modes) + 1
+        d_small = frozenset(int(n) for n in perm[: num_modes // 3])
+        d_big = d_small | frozenset(int(n) for n in perm[num_modes // 3 : 2 * num_modes // 3])
+        base_mi = mutual_information_schmidt(s)
+        _, deph_small = dephase_modes(s, d_small)
+        _, deph_big = dephase_modes(s, d_big)
+        _, loc_small = localize_modes(s, d_small)
+        _, loc_all = localize_modes(s, range(1, num_modes + 1))
+        worst = max(worst, deph_small - base_mi, deph_big - deph_small,
+                    loc_small - deph_small, abs(loc_all))
+    return worst
+
+
+def metric_axioms(trials, seed):
+    worst = 0.0
+    labels = ("Q0", "Q1", "Q2", "Q3", "Q4")
+    wf = neg_log_weight(1.0)
+    for i in range(trials):
+        psi = haar_random_state(qubits(labels), seed + 61 * (i + 1))
+        try:
+            graph = build_info_graph(psi)
+        except NoCorrelationsError:
+            continue
+        report = metric_check(emergent_metric(graph, wf))
+        worst = max(worst, report.nonnegativity, report.symmetry,
+                    report.triangle, report.diagonal)
+    return worst
+
+
 def correlation_bound(trials, seed):
     worst = 0.0
     rng = np.random.default_rng(seed + 71)
@@ -167,6 +211,8 @@ ORACLES = {
     "local-unitary-identity": local_identity,
     "local-balance": local_balance,
     "nonlocal-monotone": nonlocal_monotone,
+    "decoherence-order": decoherence_order,
+    "metric-axioms": metric_axioms,
     "correlation-bound": correlation_bound,
     "schmidt-vs-dense": schmidt_vs_dense,
 }

@@ -12,10 +12,12 @@ import math
 import numpy as np
 import pytest
 
+import battery_oracle
 import entgeo.channels
 from battery_oracle import ORACLES, mi_property_worsts
 from entgeo import cli, hilbert
 from entgeo.channels import haar_random_state
+from entgeo.geometry import NoCorrelationsError
 from entgeo.hilbert import (
     DensityMatrix,
     FactorSpace,
@@ -96,6 +98,46 @@ def test_tripped_invariant_fails_only_its_row(monkeypatch, capsys):
     assert rows.pop("nonlocal-monotone")[2:] == ["inf", "1.000000000e-09", "fail"]
     assert len(rows) == 8
     assert all(row[4] == "pass" for row in rows.values())
+
+
+def test_tripped_metric_invariant_fails_only_its_row(monkeypatch, capsys):
+    real = cli._pair_mis
+    tripped = []
+
+    def third_trial_negative(amps, dims):
+        mis = real(amps, dims)
+        mis[2, 0] = -1.0  # the third trial's first pair MI now trips its sign check
+        tripped.append(len(mis))
+        return mis
+
+    monkeypatch.setattr(cli, "_pair_mis", third_trial_negative)
+    code, rows = suite_rows(capsys)
+    assert tripped == [4]  # all four metric-axioms trials in one stack
+    assert code == cli.EXIT_VIOLATION
+    assert rows.pop("metric-axioms")[2:] == ["inf", "1.000000000e-09", "fail"]
+    assert len(rows) == 8
+    assert all(row[4] == "pass" for row in rows.values())
+
+
+def test_uncorrelated_trial_is_skipped_as_by_the_trial_loop(monkeypatch):
+    real_mis, real_build = cli._pair_mis, battery_oracle.build_info_graph
+    calls = []
+
+    def third_trial_uncorrelated(amps, dims):
+        mis = real_mis(amps, dims)
+        mis[2] = 0.0
+        return mis
+
+    def third_build_uncorrelated(psi):
+        calls.append(psi)
+        if len(calls) == 3:
+            raise NoCorrelationsError("no pairwise mutual information")
+        return real_build(psi)
+
+    monkeypatch.setattr(cli, "_pair_mis", third_trial_uncorrelated)
+    monkeypatch.setattr(battery_oracle, "build_info_graph", third_build_uncorrelated)
+    assert BATTERY["metric-axioms"](37, 3) == ORACLES["metric-axioms"](37, 3)
+    assert len(calls) == 37
 
 
 def test_nan_trial_is_skipped_as_by_the_trial_loop(monkeypatch):

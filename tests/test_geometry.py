@@ -1,5 +1,6 @@
 import heapq
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -632,7 +633,7 @@ class TestArrayPathMatchesPerPairPath:
     @pytest.mark.parametrize("block_elems", [1, 100])
     def test_row_blocks_change_nothing(self, monkeypatch, block_elems):
         # 1 relaxes and checks one row per block; 100 takes 1-4 rows as V varies
-        monkeypatch.setattr(entgeo.geometry, "_BLOCK_ELEMS", block_elems)
+        monkeypatch.setattr(entgeo.hilbert, "_BLOCK_ELEMS", block_elems)
         wf = neg_log_weight()
         rng = np.random.default_rng(block_elems)
         for seed in range(30):
@@ -647,3 +648,81 @@ class TestArrayPathMatchesPerPairPath:
             table = {(p, q): float(rng.choice([rng.uniform(-1.0, 10.0), math.inf]))
                      for p in verts for q in verts}
             assert metric_check(table) == reference_metric_check(table)
+
+
+def graph_on(n: int, seed: int, kind: str) -> InfoGraph:
+    """A graph on n vertices: a path (its far end settles only after n - 1
+    relaxation rounds), a complete graph (settles at once) or two
+    components (inf distances between them)."""
+    rng = np.random.default_rng(seed)
+    verts = tuple(f"V{i}" for i in range(n))
+    if kind == "path":
+        pairs = [(i, i + 1) for i in range(n - 1)]
+    elif kind == "complete":
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    else:
+        cut = max(1, n // 2)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if (i < cut) == (j < cut)]
+        pairs = pairs or [(0, 1)]
+    return InfoGraph(verts, {(verts[i], verts[j]): float(10 ** rng.uniform(-6, 0))
+                             for i, j in pairs})
+
+
+class TestStackedGeometry:
+    """The (k, V, V) relaxation and axiom check against k one-graph calls."""
+
+    @pytest.mark.parametrize("block_elems", [1, 100, 1 << 18])
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_relaxation_matches_one_graph_at_a_time(self, monkeypatch, block_elems, n):
+        wf = neg_log_weight()
+        graphs = [graph_on(n, seed, kind) for seed in range(3)
+                  for kind in ("path", "complete", "split")]
+        expected_metrics = [emergent_metric(g, wf) for g in graphs]
+        expected_reports = [metric_check(m) for m in expected_metrics]
+        lengths = np.array([entgeo.geometry._weight_matrix(g, wf, g.i0) for g in graphs])
+        # blocks of (graph, row) pairs that cross from one graph into the next
+        monkeypatch.setattr(entgeo.hilbert, "_BLOCK_ELEMS", block_elems)
+        dist = entgeo.geometry._distance_matrices(lengths)
+        worsts = entgeo.geometry._metric_worsts(dist).tolist()
+        sources = [n - 1, 0]
+        paths = entgeo.geometry._shortest_paths(lengths, sources)
+        for t, graph in enumerate(graphs):
+            verts = graph.vertices
+            assert expected_metrics[t].table == {
+                (verts[i], verts[j]): dist[t, i, j] for i in range(n) for j in range(i + 1, n)}
+            report = expected_reports[t]
+            assert worsts[t] == [report.nonnegativity, report.symmetry,
+                                 report.triangle, report.diagonal]
+            alone = entgeo.geometry._shortest_paths(lengths[t][None], sources)[0]
+            assert np.array_equal(paths[t], alone)
+        # two components need 3 vertices; on 2 the split graph is one edge
+        assert any(math.isinf(d) for m in expected_metrics for d in m.table.values()) == (n > 2)
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_axiom_check_matches_one_table_at_a_time(self, data):
+        n = data.draw(st.integers(1, 5))
+        k = data.draw(st.integers(1, 4))
+        verts = [f"V{i}" for i in range(n)]
+        value = st.one_of(st.floats(-2.0, 10.0),
+                          st.sampled_from([0.0, 1.0, math.inf, -math.inf, math.nan]))
+        tables = []
+        for _ in range(k):
+            table = {}
+            for i, p in enumerate(verts):
+                if n == 1 or data.draw(st.booleans()):
+                    table[(p, p)] = data.draw(value)
+                for q in verts[i + 1:]:
+                    way = data.draw(st.sampled_from(["forward", "backward", "both"]))
+                    if way != "backward":
+                        table[(p, q)] = data.draw(value)
+                    if way != "forward":
+                        table[(q, p)] = data.draw(value)
+            tables.append(table)
+        stack = np.array([entgeo.geometry._table_matrix(t) for t in tables])
+        block_elems = data.draw(st.sampled_from([1, 7, 100, 1 << 18]))
+        with mock.patch.object(entgeo.hilbert, "_BLOCK_ELEMS", block_elems):
+            worsts = entgeo.geometry._metric_worsts(stack).tolist()
+        for table, got in zip(tables, worsts):
+            report = metric_check(table)
+            assert got == [report.nonnegativity, report.symmetry, report.triangle, report.diagonal]

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -122,6 +123,58 @@ class TestVonNeumannEntropy:
         lam = np.linalg.eigvalsh(rho.matrix)
         kept = lam[lam > EIG_CLAMP]
         assert von_neumann_entropy(rho) == max(float(-(kept * np.log(kept)).sum()), 0.0)
+
+
+# entries that probe the clamp: exact zeros, EIG_CLAMP itself and one ulp to
+# either side of it, plus ordinary magnitudes down to 1e-300
+SPECTRUM_ENTRY = st.one_of(
+    st.sampled_from([0.0, EIG_CLAMP, math.nextafter(EIG_CLAMP, 0.0),
+                     math.nextafter(EIG_CLAMP, 1.0)]),
+    st.floats(1e-300, 1.0),
+)
+
+
+class TestSpectrumEntropies:
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_stack_equals_per_row_sums(self, data):
+        k = data.draw(st.integers(1, 6))
+        n = data.draw(st.integers(1, 300))
+        rows = [data.draw(st.lists(SPECTRUM_ENTRY, min_size=n, max_size=n)) for _ in range(k)]
+        for r in range(k):
+            if data.draw(st.booleans()):
+                # nothing kept: only zeros and entries at or just below the clamp
+                rows[r] = [min(x, EIG_CLAMP) if x > EIG_CLAMP else x for x in rows[r]]
+        spectra = np.array(rows)
+        if data.draw(st.booleans()):
+            spectra = spectra[:, ::-1]  # a strided view
+        base = data.draw(st.sampled_from([None, 2.0]))
+        factor = 1.0 if base is None else math.log(base)
+        expected = [max(entgeo.infotheory._neg_xlogx(row[row > EIG_CLAMP]), 0.0) / factor
+                    for row in spectra]
+        # the row checks are pinned below; here unnormalized rows go through
+        with mock.patch.object(entgeo.infotheory, "_check_spectra", lambda spectra, bad: None):
+            got = entgeo.infotheory._spectrum_entropies(spectra, base, "spectrum has {} entry")
+        assert got == expected
+        assert [x.hex() for x in got] == [x.hex() for x in expected]  # signed zeros too
+
+    def test_first_failing_row_raises(self):
+        spectra = np.array([[0.5, 0.5], [1.2, -0.2], [0.5, 0.4], [1.5, -0.5]])
+        with pytest.raises(ValueError, match=r"^row has negative entry -0\.2$"):
+            entgeo.infotheory._spectrum_entropies(spectra, None, "row has {} entry")
+
+    def test_entry_check_before_sum_check(self):
+        # the row is off 1 and has a negative entry; the entry is named
+        with pytest.raises(ValueError, match=r"^row has negative entry -0\.5$"):
+            entgeo.infotheory._spectrum_entropies(np.array([[0.5, -0.5]]), None, "row has {} entry")
+        with pytest.raises(ValueError, match=r"^spectrum must sum to 1, got 0\.9$"):
+            entgeo.infotheory._spectrum_entropies(np.array([[1.0, 0.0], [0.5, 0.4], [1.5, -0.5]]),
+                                                  None, "row has {} entry")
+
+    def test_nan_named_nan_in_a_stack(self):
+        spectra = np.array([[0.5, 0.5], [math.nan, 1.0], [1.5, -0.5]])
+        with pytest.raises(ValueError, match=r"^row has NaN entry nan$"):
+            entgeo.infotheory._spectrum_entropies(spectra, None, "row has {} entry")
 
 
 class TestMutualInformation:
