@@ -645,7 +645,7 @@ def _battery_metric_axioms(trials: int, seed: int) -> float:
                 graph = _info_graph(tps.labels, mis)
             except NoCorrelationsError:
                 continue  # vanishingly unlikely for Haar states, but not a violation
-            lengths.append(_weight_matrix(graph, wf, graph.i0))
+            lengths.append(_weight_matrix(graph, wf))
         if lengths:
             for worsts in _metric_worsts(_distance_matrices(np.array(lengths))).tolist():
                 worst = max(worst, *worsts)

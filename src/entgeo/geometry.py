@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .hilbert import PureState, _blocks, _check_density_stack, _contract_pure
+from .hilbert import PureState, _blocks, _check_density_stack, _contract_pure, _Fresh
 from .infotheory import _matrix_entropies, _nonnegative_mi
 from .infotheory import mutual_information  # noqa: F401  (re-exported)
 
@@ -33,39 +34,68 @@ def _canonical_pair(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a <= b else (b, a)
 
 
+def _pair_array(vertices: Sequence[str], table: Mapping[tuple[str, str], float],
+                what: str | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """V x V array of a label-pair table over vertices ((p, q) reads (p, q),
+    else (q, p), else 0.0) and the mask of entries given. A raw table (what
+    None) must give each pair one way or both; InfoGraph's edges ("edge") and
+    EmergentMetric's pairs ("pair") are checked entry by entry, one value a pair."""
+    index = {v: k for k, v in enumerate(vertices)}
+    if len(index) != len(vertices):
+        raise ValueError("duplicate vertex labels")
+    out = np.zeros((len(index), len(index)))
+    given = np.zeros(out.shape, dtype=bool)
+    for (a, b), x in dict(table).items():
+        if what and (a not in index or b not in index or a == b):
+            raise ValueError(f"bad pair ({a!r}, {b!r})" if what == "pair" else
+                             f"self-edge on {a!r}" if a == b and a in index else
+                             f"edge ({a!r}, {b!r}) touches unknown vertex")
+        i, j = sorted((index[a], index[b])) if what else (index[a], index[b])
+        key = _canonical_pair(a, b)
+        if what and given[i, j] and abs(out[i, j] - float(x)) > 0.0:
+            raise ValueError(f"conflicting values for {what} {key}")
+        if what == "edge" and not (math.isfinite(x) and x >= MI_EDGE_FLOOR):
+            raise ValueError(f"edge {key} must carry finite MI >= {MI_EDGE_FLOOR}, got {x}")
+        out[i, j], given[i, j] = float(x), True
+    missing = ~(given | given.T | np.eye(len(out), dtype=bool))
+    if what is None and missing.any():
+        i, j = np.argwhere(missing)[0]
+        raise KeyError(f"no distance recorded for ({vertices[i]!r}, {vertices[j]!r})")
+    return np.where(given, out, out.T), given
+
+
+def _upper_pairs(vertices: Sequence[str], a: np.ndarray) -> list[tuple[tuple[str, str], float]]:
+    """(canonical label pair, float) of each vertex pair p < q of a, in that order."""
+    return [(_canonical_pair(p, q), a.item(i, j))
+            for (i, p), (j, q) in itertools.combinations(enumerate(vertices), 2)]
+
+
 @dataclass(frozen=True)
 class InfoGraph:
     """Undirected graph of pairwise mutual information values.
 
-    Edge keys are canonical (lexicographically sorted) label pairs; lookups
-    through mutual_info() accept either endpoint order. The reference value
-    i0 is the largest edge MI and normalizes weights so the strongest
-    correlation in the graph sits at distance-weight zero.
+    mi holds them as a read-only V x V array in vertex order (0.0: no edge),
+    edges as its read-only view by canonical (sorted) label pairs, which
+    mutual_info() reads in either endpoint order. The reference value i0 is
+    the largest edge MI: the strongest edge sits at distance-weight zero.
     """
 
     vertices: tuple[str, ...]
     edges: Mapping[tuple[str, str], float]
+    mi: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        if len(set(self.vertices)) != len(self.vertices):
-            raise ValueError("duplicate vertex labels")
-        canon: dict[tuple[str, str], float] = {}
-        vset = set(self.vertices)
-        for (a, b), mi in dict(self.edges).items():
-            if a not in vset or b not in vset:
-                raise ValueError(f"edge ({a!r}, {b!r}) touches unknown vertex")
-            if a == b:
-                raise ValueError(f"self-edge on {a!r}")
-            key = _canonical_pair(a, b)
-            if key in canon and abs(canon[key] - float(mi)) > 0.0:
-                raise ValueError(f"conflicting values for edge {key}")
-            if not math.isfinite(mi) or mi < MI_EDGE_FLOOR:
-                raise ValueError(f"edge {key} must carry finite MI >= {MI_EDGE_FLOOR}, got {mi}")
-            canon[key] = float(mi)
-        if not canon:
-            raise NoCorrelationsError("graph has no edges")
-        object.__setattr__(self, "edges", canon)
+        if type(self.edges) is _Fresh:
+            mi = self.edges.array
+        else:
+            object.__setattr__(self, "vertices", tuple(self.vertices))
+            mi = _pair_array(self.vertices, self.edges, "edge")[0]
+            if not mi.any():
+                raise NoCorrelationsError("graph has no edges")
+        mi.setflags(write=False)
+        object.__setattr__(self, "mi", mi)
+        edges = {key: x for key, x in _upper_pairs(self.vertices, mi) if x}
+        object.__setattr__(self, "edges", MappingProxyType(edges))
 
     @property
     def i0(self) -> float:
@@ -131,15 +161,15 @@ def _info_graph(labels: tuple[str, ...], mis: np.ndarray) -> InfoGraph:
     """The InfoGraph of one state's pair MIs in _pair_mis order: each is
     checked not to be negative, in that order, and those at or above
     MI_EDGE_FLOOR become edges; NoCorrelationsError when none is."""
-    edges: dict[tuple[str, str], float] = {}
-    for (i, j), mi in zip(itertools.combinations(range(len(labels)), 2), mis.tolist()):
-        if _nonnegative_mi(mi) >= MI_EDGE_FLOOR:
-            edges[_canonical_pair(labels[i], labels[j])] = mi
-    if not edges:
+    mi = np.zeros((len(labels), len(labels)))
+    for (i, j), x in zip(itertools.combinations(range(len(labels)), 2), mis.tolist()):
+        if _nonnegative_mi(x) >= MI_EDGE_FLOOR:
+            mi[i, j] = mi[j, i] = x
+    if not mi.any():
         raise NoCorrelationsError(
             f"no pairwise mutual information above {MI_EDGE_FLOOR} among {labels}"
         )
-    return InfoGraph(vertices=labels, edges=edges)
+    return InfoGraph(labels, _Fresh(mi))
 
 
 def _pair_stack(t: np.ndarray, pairs: list[tuple[int, int]], d: int) -> np.ndarray:
@@ -242,16 +272,18 @@ def edge_weight(mi: float, ref_mi: float, wf: WeightFunction) -> float:
     return length
 
 
-def _weight_matrix(graph: InfoGraph, wf: WeightFunction, ref_mi: float) -> np.ndarray:
-    """V x V edge lengths in vertex order, inf where there is no edge.
+def _weight_matrix(graph: InfoGraph, wf: WeightFunction, ref_mi: float | None = None) -> np.ndarray:
+    """V x V edge lengths in vertex order under ref_mi or i0, inf for no edge.
 
-    edge_weight runs once per edge, in edge order, so the first bad edge
-    in that order is the one that raises.
+    edge_weight runs once per edge, in vertex-pair order, so the first bad
+    edge in that order is the one that raises.
     """
-    index = {v: k for k, v in enumerate(graph.vertices)}
-    w = np.full((len(index), len(index)), math.inf)
-    for (a, b), mi in graph.edges.items():
-        w[index[a], index[b]] = w[index[b], index[a]] = edge_weight(mi, ref_mi, wf)
+    ref = graph.i0 if ref_mi is None else ref_mi
+    mi = graph.mi.tolist()
+    w = np.full(graph.mi.shape, math.inf)
+    for i, j in itertools.combinations(range(len(mi)), 2):
+        if mi[i][j]:
+            w[i, j] = w[j, i] = edge_weight(mi[i][j], ref, wf)
     return w
 
 
@@ -308,8 +340,7 @@ def emergent_distance(graph: InfoGraph, wf: WeightFunction, p: str, q: str,
             raise KeyError(f"unknown vertex {v!r}")
     if p == q:
         return 0.0
-    ref = graph.i0 if ref_mi is None else ref_mi
-    row = _shortest_paths(_weight_matrix(graph, wf, ref)[None], [graph.vertices.index(p)])[0, 0]
+    row = _shortest_paths(_weight_matrix(graph, wf, ref_mi)[None], [graph.vertices.index(p)])[0, 0]
     return float(row[graph.vertices.index(q)])
 
 
@@ -317,33 +348,32 @@ def emergent_distance(graph: InfoGraph, wf: WeightFunction, p: str, q: str,
 class EmergentMetric:
     """All-pairs emergent distances over a fixed vertex set.
 
-    Stores one value per unordered pair, so symmetry holds structurally;
-    the diagonal is zero by definition. Distances may be inf (disconnected)
-    and zero between distinct vertices (pseudo-metric).
+    d holds them as a read-only symmetric V x V array in vertex order, table
+    as its read-only view by canonical label pairs. Distances may be inf
+    (disconnected) and zero between distinct vertices (pseudo-metric).
     """
 
     vertices: tuple[str, ...]
     table: Mapping[tuple[str, str], float]
+    d: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        canon: dict[tuple[str, str], float] = {}
-        vset = set(self.vertices)
-        for (a, b), d in dict(self.table).items():
-            if a not in vset or b not in vset or a == b:
-                raise ValueError(f"bad pair ({a!r}, {b!r})")
-            canon[_canonical_pair(a, b)] = float(d)
-        expected = len(self.vertices) * (len(self.vertices) - 1) // 2
-        if len(canon) != expected:
-            raise ValueError(f"need all {expected} unordered pairs, got {len(canon)}")
-        object.__setattr__(self, "table", canon)
+        if type(self.table) is _Fresh:
+            d = self.table.array
+        else:
+            object.__setattr__(self, "vertices", tuple(self.vertices))
+            d, given = _pair_array(self.vertices, self.table, "pair")
+            expected, count = len(d) * (len(d) - 1) // 2, np.count_nonzero(given)
+            if count != expected:
+                raise ValueError(f"need all {expected} unordered pairs, got {count}")
+        d.setflags(write=False)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "table", MappingProxyType(dict(_upper_pairs(self.vertices, d))))
 
     def distance(self, p: str, q: str) -> float:
         if p not in self.vertices or q not in self.vertices:
             raise KeyError(f"unknown vertex in pair ({p!r}, {q!r})")
-        if p == q:
-            return 0.0
-        return self.table[_canonical_pair(p, q)]
+        return self.d.item(self.vertices.index(p), self.vertices.index(q))
 
 
 def emergent_metric(graph: InfoGraph, wf: WeightFunction,
@@ -357,13 +387,8 @@ def emergent_metric(graph: InfoGraph, wf: WeightFunction,
     measured from p (see _distance_matrices, of which this is the
     one-graph case).
     """
-    ref = graph.i0 if ref_mi is None else ref_mi
-    verts = graph.vertices
-    d = _distance_matrices(_weight_matrix(graph, wf, ref)[None])[0]
-    rows, cols = np.triu_indices(len(verts), 1)
-    table = {(verts[i], verts[j]): dist
-             for i, j, dist in zip(rows.tolist(), cols.tolist(), d[rows, cols].tolist())}
-    return EmergentMetric(vertices=verts, table=table)
+    d = _distance_matrices(_weight_matrix(graph, wf, ref_mi)[None])[0]
+    return EmergentMetric(graph.vertices, _Fresh(d))
 
 
 @dataclass(frozen=True)
@@ -397,7 +422,7 @@ def metric_check(
     the V x V distance matrix (see _metric_worsts, of which this is the
     one-matrix case).
     """
-    d = _table_matrix(metric.table if isinstance(metric, EmergentMetric) else metric)
+    d = metric.d if isinstance(metric, EmergentMetric) else _table_matrix(metric)
     return MetricReport(*_metric_worsts(d[None])[0].tolist(), atol=atol)
 
 
@@ -441,25 +466,8 @@ def _metric_worsts(d: np.ndarray) -> np.ndarray:
 
 
 def _table_matrix(metric: Mapping[tuple[str, str], float]) -> np.ndarray:
-    """Distance matrix of a raw table over its sorted labels.
-
-    (p, q) reads the (p, q) entry, else the (q, p) one; a missing diagonal
-    entry reads 0.0 and a pair missing both ways raises KeyError.
-    """
-    table = {(a, b): float(d) for (a, b), d in dict(metric).items()}
-    verts = sorted({v for pair in table for v in pair})
-    index = {v: k for k, v in enumerate(verts)}
-    d = np.zeros((len(verts), len(verts)))
-    have = np.zeros(d.shape, dtype=bool)
-    for (a, b), dist in table.items():
-        d[index[a], index[b]] = dist
-        have[index[a], index[b]] = True
-    missing = ~(have | have.T)
-    np.fill_diagonal(missing, False)
-    if missing.any():
-        i, j = np.argwhere(missing)[0]
-        raise KeyError(f"no distance recorded for ({verts[i]!r}, {verts[j]!r})")
-    return np.where(have, d, d.T)
+    """Distance matrix of a raw table over its sorted labels (see _pair_array)."""
+    return _pair_array(sorted({v for pair in metric for v in pair}), metric)[0]
 
 
 def _worst(violations: np.ndarray, axis: int | tuple[int, ...],

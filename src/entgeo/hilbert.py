@@ -219,12 +219,12 @@ def _check_density_stack(mats: np.ndarray) -> None:
 
 
 class _Fresh:
-    """A complex (d, d) array just built in this module for one DensityMatrix.
+    """An array just built by an internal producer for one result object.
 
-    DensityMatrix(factors, _Fresh(mat)) is the trusted constructor of the
-    internal producers: it keeps mat itself, without the public
-    constructor's copy and its shape and factor checks (the factors come
-    from a validated structure), but still checks hermiticity and trace.
+    DensityMatrix(factors, _Fresh(mat)), InfoGraph(labels, _Fresh(mi)) and
+    EmergentMetric(vertices, _Fresh(d)) keep the array itself, without the
+    copy, shape and label-pair checks of their public constructors (labels
+    come validated); DensityMatrix still checks hermiticity and trace.
     """
 
     __slots__ = ("array",)

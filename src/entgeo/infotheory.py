@@ -378,11 +378,6 @@ class CorrelationBound:
         return self.mutual_info >= self.bound - 1e-9
 
 
-def operator_norm(obs: np.ndarray) -> float:
-    """Largest singular value; for hermitian input, the largest |eigenvalue|."""
-    return float(np.abs(np.linalg.eigvalsh(obs)).max())
-
-
 def correlation_lower_bound(
     rho: DensityMatrix,
     obs_c: np.ndarray,

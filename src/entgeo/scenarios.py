@@ -195,8 +195,6 @@ def physical_scales(
     l_app: float,
     mass: float,
     lambda_cc: float = LAMBDA_CC_DEFAULT,
-    hbar: float = HBAR,
-    c: float = C_LIGHT,
     momentum_cap: str = "apparatus",
 ) -> PhysicalScales:
     """Derive the momentum-sector scales from laboratory inputs.
@@ -207,18 +205,17 @@ def physical_scales(
     the largest mode count the particle's rest mass can support and is
     reported alongside.
     """
-    for name, val in (("l_app", l_app), ("mass", mass), ("lambda_cc", lambda_cc),
-                      ("hbar", hbar), ("c", c)):
+    for name, val in (("l_app", l_app), ("mass", mass), ("lambda_cc", lambda_cc)):
         if not (val > 0.0 and math.isfinite(val)):
             raise ValueError(f"{name} must be positive and finite, got {val}")
     if momentum_cap not in ("apparatus", "compton"):
         raise ValueError(f"momentum_cap must be 'apparatus' or 'compton', got {momentum_cap!r}")
-    p_ir = hbar * math.sqrt(lambda_cc)
+    p_ir = HBAR * math.sqrt(lambda_cc)
     l_ir = 1.0 / math.sqrt(lambda_cc)
     if momentum_cap == "apparatus":
-        p_cap = hbar / l_app
+        p_cap = HBAR / l_app
     else:
-        p_cap = mass * c
+        p_cap = mass * C_LIGHT
     if p_cap < p_ir:
         raise ValueError(
             f"cap momentum {p_cap} sits below the IR floor {p_ir}; no modes fit"
@@ -228,13 +225,13 @@ def physical_scales(
         raise ValueError(
             f"mode count p_cap / p_ir = {p_cap} / {p_ir} overflows the float range"
         )
-    compton_ceiling = l_ir * mass * c / hbar
+    compton_ceiling = l_ir * mass * C_LIGHT / HBAR
     return PhysicalScales(
         l_app=l_app,
         lambda_cc=lambda_cc,
         mass=mass,
-        hbar=hbar,
-        c=c,
+        hbar=HBAR,
+        c=C_LIGHT,
         momentum_cap=momentum_cap,
         p_cap=p_cap,
         p_ir=p_ir,

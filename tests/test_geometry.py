@@ -726,3 +726,102 @@ class TestStackedGeometry:
         for table, got in zip(tables, worsts):
             report = metric_check(table)
             assert got == [report.nonnegativity, report.symmetry, report.triangle, report.diagonal]
+
+
+class TestArrayGeometry:
+    """InfoGraph.mi and EmergentMetric.d as the one stored format."""
+
+    def test_metric_check_reads_the_array_as_the_table_would(self, monkeypatch):
+        # "Q10" < "Q2": vertex order is not the sorted order _table_matrix uses
+        wf = neg_log_weight()
+        labels = tuple(f"Q{i}" for i in range(12))
+        metrics = [emergent_metric(build_info_graph(haar_state(labels, 3)), wf)]
+        for seed in range(12):
+            try:
+                metrics.append(emergent_metric(build_info_graph(block_state(12, seed)), wf))
+            except NoCorrelationsError:
+                continue
+        assert any(math.isinf(d) for m in metrics for d in m.table.values())
+        tables = [dict(m.table) for m in metrics]
+        expected = [metric_check(t) for t in tables]
+
+        def refuse(table):
+            raise AssertionError("metric_check rebuilt the array from a table")
+
+        monkeypatch.setattr(entgeo.geometry, "_table_matrix", refuse)
+        assert [metric_check(m) for m in metrics] == expected
+
+    def test_the_build_path_never_reads_a_pair_table(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a label-pair table was read on the build path")
+
+        monkeypatch.setattr(entgeo.geometry, "_pair_array", refuse)
+        monkeypatch.setattr(entgeo.geometry, "_table_matrix", refuse)
+        graph = build_info_graph(block_state(9, 4))
+        assert metric_check(emergent_metric(graph, neg_log_weight())).ok
+
+    def test_arrays_match_the_mappings(self):
+        graph = build_info_graph(haar_state(tuple(f"Q{i}" for i in range(11)), 2))
+        metric = emergent_metric(graph, neg_log_weight())
+        verts = graph.vertices
+        for i, p in enumerate(verts):
+            assert metric.d[i, i] == 0.0 and graph.mi[i, i] == 0.0
+            for j, q in enumerate(verts):
+                if i != j:
+                    assert graph.mi[i, j] == graph.mutual_info(p, q)
+                    assert metric.d[i, j] == metric.distance(p, q)
+
+    def test_views_and_arrays_are_read_only(self):
+        graph = build_info_graph(entgeo.bell_state())
+        metric = emergent_metric(graph, neg_log_weight())
+        with pytest.raises(TypeError):
+            graph.edges[("A", "B")] = 99.0
+        with pytest.raises(TypeError):
+            metric.table[("A", "B")] = 99.0
+        with pytest.raises(ValueError):
+            graph.mi[0, 1] = 99.0
+        with pytest.raises(ValueError):
+            metric.d[0, 1] = 99.0
+        assert graph.i0 == 2 * math.log(2.0)
+
+    def test_values_and_i0_are_python_floats(self):
+        graph = build_info_graph(ghz(("A", "B", "C")))
+        metric = emergent_metric(graph, neg_log_weight())
+        assert type(graph.i0) is float
+        assert all(type(mi) is float for mi in graph.edges.values())
+        assert all(type(d) is float for d in metric.table.values())
+
+    def test_equality_follows_the_edges(self):
+        psi = haar_state(("Q0", "Q1", "Q2", "Q3"), 8)
+        graph = build_info_graph(psi)
+        assert graph == build_info_graph(psi)
+        assert InfoGraph(graph.vertices, dict(graph.edges)) == graph
+        changed = dict(graph.edges)
+        changed[("Q1", "Q3")] *= 0.5
+        assert InfoGraph(graph.vertices, changed) != graph
+        metric = emergent_metric(graph, neg_log_weight())
+        assert EmergentMetric(metric.vertices, dict(metric.table)) == metric
+
+    def test_metric_rejects_conflicting_values(self):
+        with pytest.raises(ValueError, match=r"conflicting values for pair \('a', 'b'\)"):
+            EmergentMetric(("a", "b"), {("a", "b"): 1.0, ("b", "a"): 2.0})
+        same = EmergentMetric(("a", "b"), {("a", "b"): 1.0, ("b", "a"): 1.0})
+        assert same.distance("b", "a") == 1.0
+        # NaN is no conflict, as for InfoGraph: the last value holds both ways
+        last = EmergentMetric(("a", "b"), {("a", "b"): 1.0, ("b", "a"): math.nan})
+        assert math.isnan(last.distance("a", "b")) and math.isnan(last.distance("b", "a"))
+
+    def test_metric_rejects_bad_pairs_and_duplicate_vertices(self):
+        for pair in (("a", "a"), ("a", "z")):
+            with pytest.raises(ValueError, match="bad pair"):
+                EmergentMetric(("a", "b"), {pair: 1.0})
+        with pytest.raises(ValueError, match="duplicate vertex labels"):
+            EmergentMetric(("a", "a"), {})
+
+    def test_first_bad_edge_in_vertex_pair_order_raises(self):
+        # given in reverse; both weak edges have NaN length under this profile
+        wf = WeightFunction(phi=lambda x: math.nan if x < 0.5 else -math.log(x))
+        graph = InfoGraph(("P", "Q", "R"),
+                          {("Q", "R"): 0.2, ("P", "R"): 0.3, ("P", "Q"): 1.0})
+        with pytest.raises(ValueError, match=r"^edge MI 0\.3 has length nan"):
+            emergent_metric(graph, wf)

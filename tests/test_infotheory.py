@@ -26,7 +26,6 @@ from entgeo.infotheory import (
     entropy_from_spectrum,
     mutual_information,
     mutual_information_schmidt,
-    operator_norm,
     pure_state_mutual_information,
     von_neumann_entropy,
 )
@@ -329,9 +328,6 @@ class TestCorrelationBound:
         assert abs(result.covariance) < 1e-12
         assert result.bound < 1e-12
         assert result.holds
-
-    def test_operator_norm_is_largest_singular_value(self):
-        assert abs(operator_norm(np.diag([3.0, -7.0]).astype(complex)) - 7.0) < 1e-12
 
     def test_rejects_non_hermitian_observable(self):
         bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)

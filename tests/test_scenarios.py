@@ -198,7 +198,7 @@ class TestPhysicalScales:
         with pytest.raises(ValueError, match="below the IR floor"):
             physical_scales(l_app=1e27, mass=ELECTRON_MASS)
 
-    @pytest.mark.parametrize("field", ["l_app", "mass", "lambda_cc", "hbar", "c"])
+    @pytest.mark.parametrize("field", ["l_app", "mass", "lambda_cc"])
     def test_rejects_nonpositive_inputs(self, field):
         kwargs = dict(l_app=MM, mass=ELECTRON_MASS)
         kwargs[field] = 0.0
