@@ -33,8 +33,8 @@ from .infotheory import (
     _neg_xlogx,
     _pure_entropies,
     _pure_mis,
+    _schmidt_mi,
     _split_pair,
-    mutual_information_schmidt,
 )
 
 ATOL_UNITARY = 1e-10
@@ -337,12 +337,16 @@ class BranchMixture:
 
 
 def _modes(modes: Iterable[int]) -> np.ndarray:
-    """The one mode-set format: a sorted, repeat-free, read-only int64 array."""
+    """The one mode-set format: a sorted, repeat-free, read-only int64 array.
+
+    An integer array of n entries is copied, never aliased, and costs O(n)
+    when it is already strictly increasing (as ir_first's chunks are);
+    only otherwise is it sorted and deduplicated, in O(n log n).
+    """
     if isinstance(modes, np.ndarray) and modes.dtype.kind == "i":
-        idx = np.sort(modes, axis=None).astype(np.int64, copy=False)
-        keep = idx[1:] != idx[:-1]
-        if not keep.all():
-            idx = idx[np.concatenate(([True], keep))]
+        idx = modes.reshape(-1).astype(np.int64)  # a copy that owns its data, not a view
+        if not (idx[1:] > idx[:-1]).all():
+            idx = np.unique(idx)
     else:
         modes = list(modes)
         ints = list(map(int, modes))
@@ -364,13 +368,31 @@ def _check_range(modes: np.ndarray, num_modes: int) -> None:
 
 
 def _check_disjoint(mode_sets: Sequence[np.ndarray], clash: str) -> None:
-    """Raises naming the modes found in more than one of the mode arrays."""
-    mode_sets = [modes for modes in mode_sets if modes.size]
-    if len(mode_sets) > 1:
-        joined = np.sort(np.concatenate(mode_sets))
-        twice = joined[1:][joined[1:] == joined[:-1]]
-        if twice.size:
-            raise ValueError(f"modes {sorted(set(twice.tolist()))} {clash}")
+    """Raises naming the modes found in more than one of the mode arrays.
+
+    Joined in the given order, the n modes split into maximal strictly
+    increasing runs, each made of whole sets. Ordered by first mode, runs
+    whose ranges do not interleave hold every mode once when each ends
+    below the next one's start. That costs O(n) when the sets come in or
+    against mode order (the stable argsort is linear on such runs), plus
+    O(r log r) to order r runs in any other order. Only when ranges
+    interleave are the n modes sorted to find repeats, O(n log n).
+    """
+    if len(mode_sets) < 2:
+        return
+    joined = np.concatenate(mode_sets)
+    starts = np.flatnonzero(joined[1:] <= joined[:-1]) + 1
+    if not starts.size:
+        return
+    firsts = joined[np.concatenate(([0], starts))]
+    lasts = joined[np.concatenate((starts, [joined.size])) - 1]
+    order = np.argsort(firsts, kind="stable")
+    if (lasts[order[:-1]] < firsts[order[1:]]).all():
+        return
+    joined.sort()
+    twice = joined[1:][joined[1:] == joined[:-1]]
+    if twice.size:
+        raise ValueError(f"modes {sorted(set(twice.tolist()))} {clash}")
 
 
 def dephase_modes(
@@ -423,7 +445,9 @@ class DecoherenceSchedule:
     """Ordered decoherence steps with pairwise-disjoint mode sets.
 
     Effects accumulate: after step k the state carries every mode hit so
-    far, each under the channel of its own step.
+    far, each under the channel of its own step. Checking that the steps
+    are disjoint costs O(modes + steps) when they come in or against mode
+    order without interleaving, as ir_first's do (see _check_disjoint).
     """
 
     steps: tuple[ScheduleStep, ...]
@@ -537,7 +561,9 @@ def decoherence_sweep(
     of _branch_mis, whose one formula MI = 2 h_R - H(R) + h_D + H(L)
     gives each step's momentum MI, exact for the probabilities as given.
     It is clamped to [0, I_0], with I_0 = 2 H(p) the step-0 value, so
-    decoherence never raises MI, not even by round-off.
+    decoherence never raises MI, not even by round-off. Building and
+    validating an ir_first schedule is O(modes + steps) too: no mode
+    array is sorted.
     """
     if spin_mi < 0.0:
         raise ValueError(f"spin_mi must be nonnegative, got {spin_mi}")
@@ -545,8 +571,9 @@ def decoherence_sweep(
     for step in schedule.steps:
         _check_range(step.modes, s.num_modes)
     blocks = [(step.modes, step.channel == "localize") for step in schedule.steps]
-    mis = _branch_mis(s.probabilities(), blocks)
-    mom0 = mutual_information_schmidt(s)
+    p = s.probabilities()
+    mis = _branch_mis(p, blocks)
+    mom0 = _schmidt_mi(p)
     total0 = spin_mi + mom0
     if total0 <= 0.0:
         raise ValueError("initial total MI is zero; nothing to normalize distances against")

@@ -97,6 +97,10 @@ class InfoGraph:
         edges = {key: x for key, x in _upper_pairs(self.vertices, mi) if x}
         object.__setattr__(self, "edges", MappingProxyType(edges))
 
+    def __reduce__(self):
+        # pickle and deepcopy rebuild through the constructor: a mappingproxy cannot be pickled
+        return InfoGraph, (self.vertices, dict(self.edges))
+
     @property
     def i0(self) -> float:
         """Largest edge mutual information (the normalization reference)."""
@@ -369,6 +373,10 @@ class EmergentMetric:
         d.setflags(write=False)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "table", MappingProxyType(dict(_upper_pairs(self.vertices, d))))
+
+    def __reduce__(self):
+        # as InfoGraph.__reduce__
+        return EmergentMetric, (self.vertices, dict(self.table))
 
     def distance(self, p: str, q: str) -> float:
         if p not in self.vertices or q not in self.vertices:

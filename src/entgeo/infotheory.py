@@ -179,9 +179,14 @@ def mutual_information_schmidt(s: SchmidtPairState, base: float | None = None) -
     """
     if s.is_symbolic:
         return 2.0 * math.log(s.num_modes) / _base_factor(base)
-    if s.num_modes == 1:
+    return _schmidt_mi(s.probabilities(), base)
+
+
+def _schmidt_mi(p: np.ndarray, base: float | None = None) -> float:
+    """mutual_information_schmidt of an explicit state from its probabilities p."""
+    if p.size == 1:
         return 0.0
-    return 2.0 * (max(_neg_xlogx(s.probabilities()), 0.0) / _base_factor(base))
+    return 2.0 * (max(_neg_xlogx(p), 0.0) / _base_factor(base))
 
 
 def pure_state_mutual_information(

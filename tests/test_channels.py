@@ -1,4 +1,5 @@
 import math
+import re
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -12,6 +13,7 @@ from entgeo.channels import (
     LocalPerturbation,
     NonLocalPerturbation,
     ScheduleStep,
+    _modes,
     apply_local,
     apply_nonlocal,
     apply_unitary,
@@ -454,9 +456,73 @@ class TestModeSets:
             assert not got.flags.writeable
 
     def test_caller_array_left_alone(self):
-        modes = np.array([3, 1, 2])
-        ScheduleStep(modes, "dephase")
-        assert modes.tolist() == [3, 1, 2] and modes.flags.writeable
+        for given in ([3, 1, 2], [1, 2, 3]):  # the sorted one skips the sort
+            modes = np.array(given)
+            got = ScheduleStep(modes, "dephase").modes
+            assert modes.tolist() == given and modes.flags.writeable
+            assert got is not modes and not np.shares_memory(got, modes)
+
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_integer_arrays_read_as_their_unique_modes(self, data):
+        dtype = data.draw(st.sampled_from([np.int32, np.int64]))
+        info = np.iinfo(dtype)
+        values = data.draw(st.lists(st.integers(-3, 3) | st.integers(info.min, info.max),
+                                    max_size=40))
+        x = np.array(values, dtype=dtype)
+        shape = data.draw(st.sampled_from(["as drawn", "increasing", "2-D", "strided"]))
+        if shape == "increasing":
+            x = np.unique(x)
+        elif shape == "2-D":
+            x = x[:x.size // 2 * 2].reshape(2, -1)
+        elif shape == "strided":
+            x = x[::2]
+        before = x.copy()
+        got = _modes(x)
+        assert got.dtype == np.int64 and got.ndim == 1 and not got.flags.writeable
+        assert got.base is None  # a view would keep a second array object alive per set
+        assert np.array_equal(got, np.unique(x))
+        assert np.array_equal(x, before) and x.flags.writeable and not np.shares_memory(got, x)
+
+    DISJOINT_BUILDERS = {
+        "DecoherenceSchedule": lambda sets: DecoherenceSchedule(
+            tuple(ScheduleStep(m, "dephase") for m in sets)),
+        "BranchMixture": lambda sets: BranchMixture(flat(9), *sets),
+    }
+    CLASHES = {"DecoherenceSchedule": "hit by more than one step",
+               "BranchMixture": "are both dephased and localized"}
+
+    @pytest.mark.parametrize("sets", [
+        ([1, 3], [2, 4]),  # interleaved ranges
+        ([1, 5], [3]),  # nested ranges
+        ([2, 9], [1, 8]),  # interleaved, out of order
+        ([5, 6], [1, 2]),  # out of order
+        ([9], [1]),
+    ])
+    @pytest.mark.parametrize("builder", list(DISJOINT_BUILDERS))
+    def test_disjoint_sets_accepted_in_any_order(self, builder, sets):
+        self.DISJOINT_BUILDERS[builder](sets)
+
+    @pytest.mark.parametrize("sets,shared", [
+        (([1, 2], [2, 3]), [2]),  # touching at one mode
+        (([1, 3, 5], [3]), [3]),  # nested
+        (([4, 5, 6], [1, 4, 6]), [4, 6]),  # out of order
+        (([2, 7], [2, 9]), [2]),  # same first mode
+        (([3, 8], [8]), [8]),
+    ])
+    @pytest.mark.parametrize("builder", list(DISJOINT_BUILDERS))
+    def test_shared_modes_named(self, builder, sets, shared):
+        with pytest.raises(ValueError, match=re.escape(f"modes {shared} {self.CLASHES[builder]}")):
+            self.DISJOINT_BUILDERS[builder](sets)
+
+    def test_steps_in_any_order(self):
+        steps = [ScheduleStep([n], "localize") for n in range(1, 2001)]
+        rng = np.random.default_rng(5)
+        for order in (steps, steps[::-1], [steps[i] for i in rng.permutation(len(steps))]):
+            DecoherenceSchedule(tuple(order))
+        clash = [steps[i] for i in rng.permutation(len(steps))] + [ScheduleStep([7, 1500], "dephase")]
+        with pytest.raises(ValueError, match=re.escape("modes [7, 1500] hit by more than one step")):
+            DecoherenceSchedule(tuple(clash))
 
     def test_mode_beyond_int64_rejected(self):
         with pytest.raises(ValueError, match=f"mode {2**63} outside"):
@@ -636,6 +702,24 @@ class TestDecoherenceSweep:
             spin_mi=2 * LOG2, wf=neg_log_weight(),
         )
         assert len(points) == 9
+
+    @pytest.mark.parametrize("weights", [[1.0], random_weights(np.random.default_rng(3), 4096)],
+                             ids=["one mode", "haar"])
+    def test_probabilities_computed_once(self, monkeypatch, weights):
+        s = SchmidtPairState.from_weights(weights)
+        expected = mutual_information_schmidt(s)
+        calls = []
+        probabilities = SchmidtPairState.probabilities
+
+        def counted(self):
+            calls.append(1)
+            return probabilities(self)
+
+        monkeypatch.setattr(SchmidtPairState, "probabilities", counted)
+        points = decoherence_sweep(s, DecoherenceSchedule.ir_first(s.num_modes, 1, "localize"),
+                                   spin_mi=LOG2, wf=neg_log_weight())
+        assert len(calls) == 1
+        assert points[0].momentum_mi.hex() == expected.hex()
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=60)

@@ -1,5 +1,7 @@
+import copy
 import heapq
 import math
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -801,6 +803,22 @@ class TestArrayGeometry:
         assert InfoGraph(graph.vertices, changed) != graph
         metric = emergent_metric(graph, neg_log_weight())
         assert EmergentMetric(metric.vertices, dict(metric.table)) == metric
+
+    @pytest.mark.parametrize("graph,has_inf", [
+        (build_info_graph(haar_state(tuple(f"Q{i}" for i in range(11)), 2)), False),
+        (build_info_graph(block_state(9, 4)), True),
+        (InfoGraph(("P", "Q", "R"), {("R", "Q"): 0.2, ("P", "Q"): 1.0}), False),
+    ], ids=["haar", "block", "hand-built"])
+    def test_pickle_and_deepcopy_round_trip(self, graph, has_inf):
+        metric = emergent_metric(graph, neg_log_weight())
+        assert np.isinf(metric.d).any() == has_inf
+        for copied in (pickle.loads(pickle.dumps(graph)), copy.deepcopy(graph)):
+            assert copied == graph and copied.vertices == graph.vertices
+            assert np.array_equal(copied.mi, graph.mi) and not copied.mi.flags.writeable
+            assert copied.i0 == graph.i0
+        for copied in (pickle.loads(pickle.dumps(metric)), copy.deepcopy(metric)):
+            assert copied == metric and copied.vertices == metric.vertices
+            assert np.array_equal(copied.d, metric.d) and not copied.d.flags.writeable
 
     def test_metric_rejects_conflicting_values(self):
         with pytest.raises(ValueError, match=r"conflicting values for pair \('a', 'b'\)"):

@@ -30,6 +30,8 @@ from entgeo.infotheory import (
     von_neumann_entropy,
 )
 
+from oracles import random_weights
+
 LOG2 = math.log(2.0)
 BELL = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
 GHZ = np.zeros(8, dtype=complex)
@@ -253,6 +255,19 @@ class TestSchmidtMutualInformation:
     def test_symbolic_base_two(self):
         s = SchmidtPairState.flat(2**40)
         assert abs(mutual_information_schmidt(s, base=2) - 80.0) < 1e-9
+
+    @pytest.mark.parametrize("state,bits", [
+        (lambda: SchmidtPairState.from_weights([1.0]), ("0x0.0p+0", "0x0.0p+0")),
+        (lambda: SchmidtPairState.from_weights([math.sqrt(0.9), math.sqrt(0.1)]),
+         ("0x1.4ce28d0ccf92ep-1", "0x1.e0406181bc7d0p-1")),
+        (lambda: SchmidtPairState.flat(1000, symbolic=False),
+         ("0x1.ba18a998fff9dp+3", "0x1.3ee7b471b3a93p+4")),
+        (lambda: SchmidtPairState.from_weights(random_weights(np.random.default_rng(7), 4096)),
+         ("0x1.f9b6ba1670a34p+3", "0x1.6ccb9df684f01p+4")),
+    ], ids=["one mode", "two modes", "flat", "haar"])
+    def test_frozen_bits(self, state, bits):
+        s = state()
+        assert (mutual_information_schmidt(s).hex(), mutual_information_schmidt(s, base=2).hex()) == bits
 
     @given(seed=st.integers(0, 10_000), m=st.integers(2, 16))
     @settings(max_examples=30)
