@@ -26,11 +26,13 @@ from .hilbert import (
     SchmidtPairState,
     TensorProductStructure,
     _count,
+    _kept_positions,
     _reduced_stack,
 )
 from .infotheory import (
     _density_mis,
     _neg_xlogx,
+    _nonnegative_mi,
     _pure_entropies,
     _pure_mis,
     _schmidt_mi,
@@ -291,7 +293,9 @@ def _apply_nonlocals(
     coupled = (amps[:, :, None] * env.amplitudes[None, None, :]).reshape(len(amps), -1)
     extended = _apply_unitaries(extended_tps, coupled, us, tuple(labels) + env.labels)
     rho_ab, factors = _reduced_stack(extended, extended_tps, side_a + side_b)
-    mi1 = _density_mis(rho_ab, factors, side_a, side_b)
+    pos_a, pos_b = _kept_positions([f.label for f in factors], side_a)
+    mi1 = [_nonnegative_mi(mi)
+           for mi in _density_mis(rho_ab, [f.dim for f in factors], pos_b, pos_a)]
     deltas = [m1 - m0 for m0, m1 in zip(mi0, mi1)]
     for delta_mi in deltas:
         if delta_mi > atol:

@@ -18,7 +18,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .hilbert import PureState, _blocks, _check_density_stack, _contract_pure, _Fresh
-from .infotheory import _matrix_entropies, _nonnegative_mi
+from .infotheory import _density_mis, _nonnegative_mi
 from .infotheory import mutual_information  # noqa: F401  (re-exported)
 
 # Pairwise MI below this is treated as no edge at all.
@@ -132,7 +132,8 @@ def _pair_mis(amps: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
 
     Pairs are grouped by (d_p, d_q). Each group's reductions of all k states
     go into one (k, P, d, d) stack (see _pair_stack), validated as one
-    stack; the joints and both marginals take one eigensolve each.
+    stack and handed to _density_mis as a stack of two-factor joints, so
+    each MI is mutual_information's for that pair's reduced_density.
     """
     count, n = len(amps), len(dims)
     pairs = list(itertools.combinations(range(n), 2))
@@ -149,15 +150,7 @@ def _pair_mis(amps: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
         else:
             joint = _pair_stack(t, [pairs[x] for x in xs], d).reshape(-1, d, d)
         _check_density_stack(joint)
-        # partial_trace's contractions, one leading stack axis further in
-        split = joint.reshape(-1, dp, dq, dp, dq)
-        side_p = np.trace(split, axis1=2, axis2=4)
-        side_q = np.trace(split, axis1=1, axis2=3)
-        _check_density_stack(side_p)
-        _check_density_stack(side_q)
-        s_p, s_q, s_pq = (np.reshape(_matrix_entropies(m), (count, len(xs)))
-                          for m in (side_p, side_q, joint))
-        mis[:, xs] = s_p + s_q - s_pq
+        mis[:, xs] = np.reshape(_density_mis(joint, (dp, dq), [1], [0]), (count, len(xs)))
     return mis
 
 

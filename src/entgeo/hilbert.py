@@ -149,9 +149,6 @@ class TensorProductStructure:
                 return i
         raise KeyError(f"no factor labeled {label!r}")
 
-    def dim_of(self, labels: Iterable[str]) -> int:
-        return math.prod(self.factors[self.index_of(lb)].dim for lb in labels)
-
 
 def qubits(labels: Sequence[str]) -> TensorProductStructure:
     """Tensor product structure of dimension-2 factors, one per label."""
@@ -189,27 +186,36 @@ class PureState:
         return self.tps.labels
 
 
+def _herm_errors(mats: np.ndarray) -> np.ndarray:
+    """max |M - M^H| of each matrix M of a (k, d, d) stack, NaN for a matrix
+    holding one.
+
+    A stack larger than one block of _BLOCK_ELEMS is taken in row blocks
+    joined by np.maximum, which keeps the exact maximum and any NaN, so at
+    most two blocks of temporaries live.
+    """
+    count, d = mats.shape[:2]
+    if mats.size <= _BLOCK_ELEMS:
+        return np.maximum.reduce(np.abs(mats - mats.conj().swapaxes(1, 2)), axis=(1, 2))
+    step = max(1, _BLOCK_ELEMS // (count * d))
+    herm_err = np.zeros(count)
+    for r0 in range(0, d, step):
+        rows = slice(r0, r0 + step)
+        # one expression, so no block outlives its iteration
+        herm_err = np.maximum(herm_err, np.maximum.reduce(
+            np.abs(mats[:, rows] - mats[:, :, rows].conj().swapaxes(1, 2)), axis=(1, 2)))
+    return herm_err
+
+
 def _check_density_stack(mats: np.ndarray) -> None:
     """Hermiticity and unit-trace checks on a (k, d, d) stack of matrices.
 
     The one structural check behind DensityMatrix. Both conditions are
-    evaluated for the whole stack at once, then read matrix by matrix: the
-    first failing matrix raises with the constructor's message, hermiticity
-    before trace. A stack larger than one block of _BLOCK_ELEMS takes the
-    hermiticity error in row blocks joined by np.maximum, which keeps the
-    exact maximum and any NaN, so at most two blocks of temporaries live.
+    evaluated for the whole stack at once (see _herm_errors), then read
+    matrix by matrix: the first failing matrix raises with the
+    constructor's message, hermiticity before trace.
     """
-    count, d = mats.shape[:2]
-    if mats.size <= _BLOCK_ELEMS:
-        herm_err = np.maximum.reduce(np.abs(mats - mats.conj().swapaxes(1, 2)), axis=(1, 2))
-    else:
-        step = max(1, _BLOCK_ELEMS // (count * d))
-        herm_err = np.zeros(count)
-        for r0 in range(0, d, step):
-            rows = slice(r0, r0 + step)
-            # one expression, so no block outlives its iteration
-            herm_err = np.maximum(herm_err, np.maximum.reduce(
-                np.abs(mats[:, rows] - mats[:, :, rows].conj().swapaxes(1, 2)), axis=(1, 2)))
+    herm_err = _herm_errors(mats)
     traces = mats.trace(axis1=1, axis2=2)
     for k, (err, tr) in enumerate(zip(herm_err.tolist(), traces.tolist())):
         if not err <= ATOL_STRUCT:  # NaN fails too
@@ -221,10 +227,11 @@ def _check_density_stack(mats: np.ndarray) -> None:
 class _Fresh:
     """An array just built by an internal producer for one result object.
 
-    DensityMatrix(factors, _Fresh(mat)), InfoGraph(labels, _Fresh(mi)) and
-    EmergentMetric(vertices, _Fresh(d)) keep the array itself, without the
-    copy, shape and label-pair checks of their public constructors (labels
-    come validated); DensityMatrix still checks hermiticity and trace.
+    DensityMatrix(factors, _Fresh(mat)), SchmidtPairState(n, _Fresh(w)),
+    InfoGraph(labels, _Fresh(mi)) and EmergentMetric(vertices, _Fresh(d)) keep
+    the array itself, without the copy, shape and label-pair checks of their
+    public constructors (labels come validated); DensityMatrix still checks
+    hermiticity and trace, SchmidtPairState the norm.
     """
 
     __slots__ = ("array",)
@@ -467,7 +474,11 @@ class SchmidtPairState:
         object.__setattr__(self, "num_modes", _count(self.num_modes, 1, "num_modes"))
         if self.weights is None:
             return
-        w = _as_locked_complex(self.weights, self.num_modes, "weights")
+        if type(self.weights) is _Fresh:
+            w = self.weights.array
+            w.setflags(write=False)
+        else:
+            w = _as_locked_complex(self.weights, self.num_modes, "weights")
         nrm = np.linalg.norm(w)
         if not abs(nrm - 1.0) <= ATOL_STRUCT:  # NaN fails too
             raise ValueError(f"weights not normalized: |w| = {float(nrm)}")
@@ -517,7 +528,7 @@ class SchmidtPairState:
         if n > MAX_EXPLICIT_MODES:
             raise ExplicitWeightsRequired(
                 f"refusing to materialize {_count_text({n: 1})} flat weights")
-        return SchmidtPairState(num_modes=n, weights=np.full(n, 1.0 / math.sqrt(n), dtype=complex))
+        return SchmidtPairState(n, _Fresh(np.full(n, 1.0 / math.sqrt(n), dtype=complex)))
 
 
 def schmidt_to_dense(s: SchmidtPairState, labels: tuple[str, str] = ("A", "B")) -> PureState:

@@ -22,6 +22,7 @@ from .hilbert import (
     TensorProductStructure,
     _blocks,
     _check_density_stack,
+    _herm_errors,
     _kept_positions,
     _reduced_stack,
     _trace_out,
@@ -152,13 +153,13 @@ def mutual_information(
 
     The split must partition the factors of rho exactly. The value is
     nonnegative up to eigensolver noise and bounded by
-    log(dim A) + log(dim B).
+    log(dim A) + log(dim B). It is the one-matrix case of _density_mis, with
+    the bits of von_neumann_entropy on partial_trace(rho, A), on
+    partial_trace(rho, B) and on rho.
     """
-    part_a, part_b = _split_pair(rho.labels, split)
-    s_a = von_neumann_entropy(partial_trace(rho, part_a), base=base)
-    s_b = von_neumann_entropy(partial_trace(rho, part_b), base=base)
-    s_ab = von_neumann_entropy(rho, base=base)
-    return _nonnegative_mi(s_a + s_b - s_ab)
+    part_a, _ = _split_pair(rho.labels, split)
+    pos_a, pos_b = _kept_positions(rho.labels, part_a)
+    return _nonnegative_mi(_density_mis(rho.matrix[None], rho.dims, pos_b, pos_a, base)[0])
 
 
 def _nonnegative_mi(mi: float) -> float:
@@ -220,19 +221,30 @@ def _pure_entropies(amps: np.ndarray, tps: TensorProductStructure, keep: Sequenc
     return _matrix_entropies(_reduced_stack(amps, tps, keep, work)[0], base)
 
 
-def _density_mis(mats: np.ndarray, factors: Sequence[FactorSpace], part_a: Sequence[str],
-                 part_b: Sequence[str], base: float | None = None) -> list[float]:
-    """mutual_information of each matrix of a checked (k, d, d) stack over
-    factors, across a checked split, with partial_trace's arithmetic."""
-    labels = [f.label for f in factors]
-    dims = [f.dim for f in factors]
-    sides = []
-    for part in (part_a, part_b):
-        side = _trace_out(mats, dims, _kept_positions(labels, part)[1])
-        _check_density_stack(side)
-        sides.append(_matrix_entropies(side, base))
+def _density_mis(mats: np.ndarray, dims: Sequence[int], dropped_a: Sequence[int],
+                 dropped_b: Sequence[int], base: float | None = None,
+                 sides: Sequence[np.ndarray] | None = None) -> list[float]:
+    """S_A + S_B - S_AB of each matrix of a checked (k, d, d) stack over
+    factors of dims, unchecked: callers apply _nonnegative_mi.
+
+    The one bipartite-MI kernel, behind mutual_information, the graph build,
+    apply_nonlocal and the correlation bound. rho_A is left by tracing the
+    positions dropped_a out with _trace_out, rho_B by tracing dropped_b. A
+    caller that has already traced and checked both side stacks this way
+    passes them as sides. Each side is traced once, checked and eigensolved,
+    A then B, then the joint: one eigensolve per stack.
+    """
+    entropies = []
+    for k, dropped in enumerate((dropped_a, dropped_b)):
+        if sides is None:
+            side = _trace_out(mats, dims, dropped)
+            _check_density_stack(side)
+        else:
+            side = sides[k]
+        entropies.append(_matrix_entropies(side, base))
+        del side  # freed before the next trace and the joint's eigensolve
     s_ab = _matrix_entropies(mats, base)
-    return [_nonnegative_mi(a + b - ab) for a, b, ab in zip(*sides, s_ab)]
+    return [a + b - ab for a, b, ab in zip(*entropies, s_ab)]
 
 
 @dataclass(frozen=True)
@@ -415,11 +427,11 @@ def _correlation_bounds(mats: np.ndarray, factors: Sequence[FactorSpace], obs_c:
     stack over two factors and (k, d_C, d_C), (k, d_D, d_D) observable stacks.
 
     Each condition is checked for the whole stack, then raised for the
-    first failing trial, in correlation_lower_bound's order.
+    first failing trial, in correlation_lower_bound's order. rho_C and rho_D
+    are traced once, for the means and, through _density_mis, for the MI.
     """
     for name, obs in (("obs_c", obs_c), ("obs_d", obs_d)):
-        herm_err = np.maximum.reduce(np.abs(obs - obs.conj().swapaxes(1, 2)), axis=(1, 2))
-        if not all(err <= 1e-10 for err in herm_err.tolist()):  # NaN fails too
+        if not all(err <= 1e-10 for err in _herm_errors(obs).tolist()):  # NaN fails too
             raise ValueError(f"{name} must be hermitian")
     norms_c, norms_d = (np.abs(np.linalg.eigvalsh(obs)).max(axis=1).tolist()
                         for obs in (obs_c, obs_d))
@@ -444,6 +456,7 @@ def _correlation_bounds(mats: np.ndarray, factors: Sequence[FactorSpace], obs_c:
             raise ValueError(f"observable norms {nc!r}, {nd!r} overflow the bound") from None
         covs.append(cov)
         bounds.append(bound)
-    mis = _density_mis(mats, factors, (factors[0].label,), (factors[1].label,), base)
+    mis = [_nonnegative_mi(mi)
+           for mi in _density_mis(mats, dims, [1], [0], base, sides=(rho_c, rho_d))]
     return [CorrelationBound(covariance=cov, bound=bound, mutual_info=mi)
             for cov, bound, mi in zip(covs, bounds, mis)]

@@ -32,11 +32,12 @@ from entgeo.hilbert import (
     FactorSpace,
     PureState,
     TensorProductStructure,
+    partial_trace,
     qubits,
     reduced_density,
     tensor,
 )
-from entgeo.infotheory import mutual_information, pure_state_mutual_information
+from entgeo.infotheory import pure_state_mutual_information, von_neumann_entropy
 
 LOG2 = math.log(2.0)
 BELL = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
@@ -66,8 +67,8 @@ class TestInfoGraph:
         assert graph.mutual_info("A", "C") is None
 
     def test_negative_mi_raises_as_mutual_information_does(self, monkeypatch):
-        monkeypatch.setattr(entgeo.geometry, "_matrix_entropies",
-                            lambda mats: [1.0 if mats.shape[-1] == 4 else 0.0] * len(mats))
+        monkeypatch.setattr(entgeo.infotheory, "_matrix_entropies",
+                            lambda mats, base=None: [1.0 if mats.shape[-1] == 4 else 0.0] * len(mats))
         with pytest.raises(ArithmeticError, match=r"^mutual information came out negative: -1\.0$"):
             build_info_graph(PureState(qubits(("A", "B")), BELL))
 
@@ -420,12 +421,18 @@ class TestEdgeRecords:
 # -- the array path against per-pair references written out here ----------
 
 def reference_edges(psi: PureState) -> dict[tuple[str, str], float]:
-    """build_info_graph's edges, one reduced_density and MI call per pair."""
+    """build_info_graph's edges, one reduced_density per pair. Its MI is
+    written out as S(p) + S(q) - S(pq) with partial_trace and
+    von_neumann_entropy, outside the kernel that build_info_graph and
+    mutual_information share."""
     labels = psi.labels
     edges = {}
     for i, p in enumerate(labels):
         for q in labels[i + 1:]:
-            mi = mutual_information(reduced_density(psi, (p, q)), ((p,), (q,)))
+            rho = reduced_density(psi, (p, q))
+            mi = (von_neumann_entropy(partial_trace(rho, (p,)))
+                  + von_neumann_entropy(partial_trace(rho, (q,)))
+                  - von_neumann_entropy(rho))
             if mi >= MI_EDGE_FLOOR:
                 edges[(p, q)] = mi
     return edges

