@@ -30,6 +30,7 @@ from .hilbert import (
     _reduced_stack,
 )
 from .infotheory import (
+    _base_factor,
     _density_mis,
     _neg_xlogx,
     _nonnegative_mi,
@@ -334,10 +335,7 @@ class BranchMixture:
     def mutual_info(self, base: float | None = None) -> float:
         blocks = [(modes, localizes) for modes, localizes
                   in ((self.dephased, False), (self.localized, True)) if modes.size]
-        mi = max(_branch_mis(self.source.probabilities(), blocks)[-1], 0.0)
-        if base is not None:
-            mi /= math.log(base)
-        return mi
+        return max(_branch_mis(self.source.probabilities(), blocks)[-1], 0.0) / _base_factor(base)
 
 
 def _modes(modes: Iterable[int]) -> np.ndarray:

@@ -3,8 +3,9 @@
     entgeo run <scenario> [--config PATH] [--seed U64] [--out PATH]
                           [--format csv|json] [--<param> <value> ...]
 
-Exit codes: 0 success, 2 configuration or usage error, 3 property
-violation reported by the property-suite scenario, 4 output I/O failure.
+This module parses, renders and sets exit codes: 0 success, 2 configuration
+or usage error, 3 property violation reported by the property-suite scenario
+(whose batteries live in _battery), 4 output I/O failure.
 
 Runs are deterministic: identical configuration and seed give
 byte-identical output, so no timestamps or host details appear anywhere.
@@ -21,29 +22,15 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from . import __version__, hilbert
-from .channels import (
-    DecoherenceSchedule,
-    _apply_locals,
-    _apply_nonlocals,
-    _branch_mis,
-    _haar_amplitudes,
-    _haar_unitaries,
-    _random_schmidt,
-    decoherence_sweep,
-    haar_random_state,
-)
+from . import __version__, _battery, hilbert
+from ._battery import TOLERANCE
+from .channels import DecoherenceSchedule, decoherence_sweep, haar_random_state
 from .geometry import (
     NoCorrelationsError,
-    _distance_matrices,
-    _info_graph,
-    _metric_worsts,
-    _pair_mis,
-    _weight_matrix,
     build_info_graph,
     edge_records,
     edge_weight,
@@ -51,23 +38,15 @@ from .geometry import (
 )
 from .hilbert import (
     ExplicitWeightsRequired,
-    FactorSpace,
     PureState,
-    TensorProductStructure,
-    _blocks,
+    SchmidtPairState,
     _cap_error,
-    _reduced_stack,
     density_of,
     partial_trace,
     qubits,
     reduced_density,
-    schmidt_to_dense,
 )
 from .infotheory import (
-    _correlation_bounds,
-    _pure_entropies,
-    _pure_mis,
-    check_mi_properties,
     mutual_information,
     mutual_information_schmidt,
     pure_state_mutual_information,
@@ -387,8 +366,7 @@ def _scenario_qudit_bell(params: dict[str, Any], seed: int) -> TableResult:
     psi = qudit_bell(n)
     mi = pure_state_mutual_information(psi, (("A",), ("B",)), base=base)
     s_a = von_neumann_entropy(reduced_density(psi, ("A",)), base=base)
-    factor = math.log(base) if base is not None else 1.0
-    upper = 2.0 * math.log(n) / factor
+    upper = mutual_information_schmidt(SchmidtPairState.flat(n), base=base)
     meta = {"l_rc": params["l_rc"], "log_base": params["log_base"] or "e"}
     return TableResult(
         meta=meta,
@@ -519,221 +497,28 @@ def _scenario_graph_reconstruct(params: dict[str, Any], seed: int) -> TableResul
 # ---------------------------------------------------------------------------
 # property battery
 
-def _grouped(keys: Iterable[Any], items: Iterable[Any]) -> dict[Any, list[Any]]:
-    """items by key, keys in order of first appearance. A battery folds its
-    worst violation with max, which skips NaN and ignores order, so groups
-    may be scored one after another."""
-    groups: dict[Any, list[Any]] = {}
-    for key, item in zip(keys, items):
-        groups.setdefault(key, []).append(item)
-    return groups
-
-
-def _entropy_gaps(shape: tuple[int, int], seeds: list[int]) -> list[float]:
-    """|S(A) - S(B)| of the Haar states on A x B of the given shape, one per seed."""
-    tps = TensorProductStructure((FactorSpace("A", shape[0]), FactorSpace("B", shape[1])))
-    amps = _haar_amplitudes(tps.total_dim, seeds)
-    s_a = _pure_entropies(amps, tps, ("A",))
-    s_b = _pure_entropies(amps, tps, ("B",))
-    return [abs(a - b) for a, b in zip(s_a, s_b)]
-
-
-def _battery_pure_mi_symmetry(trials: int, seed: int) -> float:
-    worst = 0.0
-    rng = np.random.default_rng(seed)
-    for block in _blocks(trials, 5 * 5):
-        shapes = [(int(rng.integers(2, 6)), int(rng.integers(2, 6))) for _ in block]
-        seeds = [seed + 7919 * (i + 1) for i in block]
-        for shape, group in _grouped(shapes, seeds).items():
-            for gap in _entropy_gaps(shape, group):
-                worst = max(worst, gap)
-    return worst
-
-
-def _battery_mi_properties(trials: int, seed: int) -> float:
-    psi = haar_random_state(qubits(("A", "B", "C", "D", "E")), seed + 11)
-    rho = reduced_density(psi, ("A", "B", "C", "D"))
-    report = check_mi_properties(rho, trials=trials, seed=seed)
-    checks = report.checks
-    return max(checks.positivity, checks.boundedness, checks.symmetry,
-               checks.monotonicity or 0.0)
-
-
-_QUBITS3 = qubits(("Q0", "Q1", "Q2"))
-_SPLIT3 = (("Q0", "Q1"), ("Q2",))
-
-
-def _unitary_shifts(target: tuple[str, ...], seeds: list[int]) -> list[float]:
-    """|delta_mi| of a one-qubit Haar unitary on target, one trial per seed."""
-    amps = _haar_amplitudes(_QUBITS3.total_dim, seeds)
-    us = _haar_unitaries(2, [s + 1 for s in seeds])
-    _, deltas = _apply_locals(_QUBITS3, amps, us, target, _SPLIT3, 1e-9)
-    return [abs(delta_mi) for delta_mi, _ in deltas]
-
-
-def _battery_local_identity(trials: int, seed: int) -> float:
-    worst = 0.0
-    for block in _blocks(trials, 4 * 4):
-        targets = [("Q0",) if i % 2 == 0 else ("Q2",) for i in block]
-        seeds = [seed + 31 * (i + 1) for i in block]
-        for target, group in _grouped(targets, seeds).items():
-            for shift in _unitary_shifts(target, group):
-                worst = max(worst, shift)
-    return worst
-
-
-def _battery_local_balance(trials: int, seed: int) -> float:
-    worst = 0.0
-    for block in _blocks(trials, 4 * 4):
-        seeds = [seed + 37 * (i + 1) for i in block]
-        amps = _haar_amplitudes(_QUBITS3.total_dim, seeds)
-        us = _haar_unitaries(4, [s + 1 for s in seeds])
-        _, deltas = _apply_locals(_QUBITS3, amps, us, ("Q1", "Q2"), _SPLIT3, 1e-9)
-        for delta_mi, delta_s_a in deltas:
-            worst = max(worst, abs(delta_mi - 2.0 * delta_s_a))
-    return worst
-
-
-def _battery_nonlocal_monotone(trials: int, seed: int) -> float:
-    worst = 0.0
-    env = PureState(TensorProductStructure((FactorSpace("ENV", 2),)), np.array([1.0, 0.0]))
-    for block in _blocks(trials, 8 * 8):
-        seeds = [seed + 41 * (i + 1) for i in block]
-        amps = _haar_amplitudes(_QUBITS3.total_dim, seeds)
-        us = _haar_unitaries(4, [s + 1 for s in seeds])
-        _, _, deltas = _apply_nonlocals(_QUBITS3, amps, us, ("Q2",), env, _SPLIT3, 1e-9)
-        for delta_mi in deltas:
-            worst = max(worst, delta_mi)
-    return worst
-
-
-def _battery_decoherence_order(trials: int, seed: int) -> float:
-    worst = 0.0
-    rng = np.random.default_rng(seed + 53)
-    for block in _blocks(trials, 12):
-        draws = []
-        for _ in block:
-            num_modes = int(rng.integers(4, 13))
-            s = _random_schmidt(rng, num_modes)
-            draws.append((s, rng.permutation(num_modes) + 1))
-        for s, perm in draws:
-            # dephase_modes and localize_modes on sorted mode arrays, in range by construction
-            n = len(perm)
-            p = s.probabilities()
-            small = np.sort(perm[: n // 3])
-            mixtures = ((small, False), (np.sort(perm[: 2 * n // 3]), False),
-                        (small, True), (np.arange(1, n + 1), True))
-            deph_small, deph_big, loc_small, loc_all = (
-                max(_branch_mis(p, [mix])[-1], 0.0) for mix in mixtures)
-            base_mi = mutual_information_schmidt(s)
-            worst = max(worst, deph_small - base_mi)   # decohering cannot raise MI
-            worst = max(worst, deph_big - deph_small)  # more modes, less MI
-            worst = max(worst, loc_small - deph_small)  # localize is harsher
-            worst = max(worst, abs(loc_all))           # full localization kills MI
-    return worst
-
-
-def _battery_metric_axioms(trials: int, seed: int) -> float:
-    worst = 0.0
-    tps = qubits(("Q0", "Q1", "Q2", "Q3", "Q4"))
-    wf = neg_log_weight(1.0)
-    for block in _blocks(trials, 10 * 4 * 4):
-        amps = _haar_amplitudes(tps.total_dim, [seed + 61 * (i + 1) for i in block])
-        lengths = []
-        for mis in _pair_mis(amps, tps.dims):
-            try:
-                graph = _info_graph(tps.labels, mis)
-            except NoCorrelationsError:
-                continue  # vanishingly unlikely for Haar states, but not a violation
-            lengths.append(_weight_matrix(graph, wf))
-        if lengths:
-            for worsts in _metric_worsts(_distance_matrices(np.array(lengths))).tolist():
-                worst = max(worst, *worsts)
-    return worst
-
-
-def _battery_correlation_bound(trials: int, seed: int) -> float:
-    worst = 0.0
-    rng = np.random.default_rng(seed + 71)
-    tps = qubits(("C", "D", "E0", "E1"))
-    for block in _blocks(trials, 4 * 4):
-        obs = []
-        for _ in range(2 * len(block)):
-            g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            obs.append(g + g.conj().T)
-        amps = _haar_amplitudes(tps.total_dim, [seed + 71 * (i + 1) for i in block])
-        rho, factors = _reduced_stack(amps, tps, ("C", "D"))
-        obs_cd = np.array(obs)
-        for result in _correlation_bounds(rho, factors, obs_cd[0::2], obs_cd[1::2]):
-            worst = max(worst, result.bound - result.mutual_info)
-    return worst
-
-
-def _battery_schmidt_vs_dense(trials: int, seed: int) -> float:
-    worst = 0.0
-    rng = np.random.default_rng(seed + 83)
-    for block in _blocks(trials, 8 * 8):
-        closed, states = [], []
-        for _ in block:
-            s = _random_schmidt(rng, int(rng.integers(2, 9)))
-            closed.append(mutual_information_schmidt(s))
-            states.append(schmidt_to_dense(s))
-        for tps, group in _grouped([psi.tps for psi in states], zip(closed, states)).items():
-            amps = np.array([psi.amplitudes for _, psi in group])
-            for (mi, _), mi_dense in zip(group, _pure_mis(amps, tps, ("A",), ("B",))):
-                worst = max(worst, abs(mi - mi_dense))
-    return worst
-
-
-_BATTERY = (
-    ("pure-mi-symmetry", _battery_pure_mi_symmetry, 1e-9, 1.0),
-    ("mi-properties", _battery_mi_properties, 1e-9, 1.0),
-    ("local-unitary-identity", _battery_local_identity, 1e-9, 1.0),
-    ("local-balance", _battery_local_balance, 1e-9, 1.0),
-    ("nonlocal-monotone", _battery_nonlocal_monotone, 1e-9, 1.0),
-    ("decoherence-order", _battery_decoherence_order, 1e-9, 1.0),
-    ("metric-axioms", _battery_metric_axioms, 1e-9, 0.2),
-    ("correlation-bound", _battery_correlation_bound, 1e-9, 1.0),
-    ("schmidt-vs-dense", _battery_schmidt_vs_dense, 1e-9, 1.0),
-)
-
-
 def _scenario_property_suite(params: dict[str, Any], seed: int) -> TableResult:
-    """One row per battery: its trials, worst violation and verdict.
+    """One row per battery of _battery.BATTERY: its trials, worst violation
+    and verdict against TOLERANCE.
 
-    The batteries stack their trials. A battery first draws its trials'
-    inputs in the order a trial-by-trial loop would (per-trial generators
-    seeded seed + k (i + 1), shared generators in trial order), then
-    evaluates them as stacks of one shape, one block of hilbert._BLOCK_ELEMS
-    entries at a time, through the kernels behind apply_local,
-    apply_nonlocal, pure_state_mutual_information, correlation_lower_bound
-    and check_mi_properties; metric-axioms builds its graphs, distances and
-    axiom checks the same way, through the kernels behind build_info_graph,
-    emergent_metric and metric_check, and decoherence-order calls the one
-    branch-decoherence kernel once per mixture. Each trial gets the bits it
-    gets alone, so the output bytes are those of the per-trial arithmetic.
     A tripped in-op invariant (ArithmeticError) makes its battery's worst
-    violation inf.
+    violation inf, as the driver makes a NaN violation.
     """
     trials = params["trials"]
     rows = []
-    any_failed = False
-    for name, check, tol, scale in _BATTERY:
+    for name, check, scale in _battery.BATTERY:
         t = max(1, int(trials * scale))
         try:
             worst = check(t, seed)
         except ArithmeticError:
-            # an in-op invariant assertion tripping is itself a violation
             worst = math.inf
-        passed = worst <= tol
-        any_failed = any_failed or not passed
-        rows.append((name, t, worst, tol, "pass" if passed else "fail"))
+        rows.append((name, t, worst, TOLERANCE, "pass" if worst <= TOLERANCE else "fail"))
     return TableResult(
         meta={"trials": trials},
         header=("check", "trials", "worst_violation", "tolerance", "result"),
         kinds=("s", "d", "e9", "e9", "s"),
         rows=tuple(rows),
-        exit_code=EXIT_VIOLATION if any_failed else EXIT_OK,
+        exit_code=EXIT_OK if all(row[4] == "pass" for row in rows) else EXIT_VIOLATION,
     )
 
 

@@ -22,6 +22,7 @@ from .hilbert import (
     TensorProductStructure,
     _blocks,
     _check_density_stack,
+    _count,
     _herm_errors,
     _kept_positions,
     _reduced_stack,
@@ -41,8 +42,8 @@ NEG_TOL = 1e-10
 def _base_factor(base: float | None) -> float:
     if base is None:
         return 1.0
-    if base <= 1.0:
-        raise ValueError(f"log base must be > 1, got {base}")
+    if not 1.0 < base < math.inf:  # nan fails too
+        raise ValueError(f"log base must be finite and > 1, got {base}")
     return math.log(base)
 
 
@@ -159,12 +160,12 @@ def mutual_information(
     """
     part_a, _ = _split_pair(rho.labels, split)
     pos_a, pos_b = _kept_positions(rho.labels, part_a)
-    return _nonnegative_mi(_density_mis(rho.matrix[None], rho.dims, pos_b, pos_a, base)[0])
+    return _nonnegative_mi(_density_mis(rho.matrix[None], rho.dims, pos_b, pos_a, base)[0], base)
 
 
-def _nonnegative_mi(mi: float) -> float:
-    """mi itself, checked not to be negative beyond eigensolver noise."""
-    if mi < -1e-9:
+def _nonnegative_mi(mi: float, base: float | None = None) -> float:
+    """mi in units of base itself, checked in nats not to be below eigensolver noise."""
+    if mi * _base_factor(base) < -1e-9:
         raise ArithmeticError(f"mutual information came out negative: {mi}")
     return mi
 
@@ -185,9 +186,10 @@ def mutual_information_schmidt(s: SchmidtPairState, base: float | None = None) -
 
 def _schmidt_mi(p: np.ndarray, base: float | None = None) -> float:
     """mutual_information_schmidt of an explicit state from its probabilities p."""
+    factor = _base_factor(base)
     if p.size == 1:
         return 0.0
-    return 2.0 * (max(_neg_xlogx(p), 0.0) / _base_factor(base))
+    return 2.0 * (max(_neg_xlogx(p), 0.0) / factor)
 
 
 def pure_state_mutual_information(
@@ -299,6 +301,7 @@ def check_mi_properties(
     if len(labels) < 2:
         raise ValueError("need at least 2 factors to form a bipartition")
     three_way = len(labels) >= 3
+    trials = _count(trials, 1, "trials")
     dim_of = {f.label: f.dim for f in rho.factors}
     rng = np.random.default_rng(seed)
     entropy: dict[tuple[frozenset[str], ...], float] = {}
@@ -456,7 +459,7 @@ def _correlation_bounds(mats: np.ndarray, factors: Sequence[FactorSpace], obs_c:
             raise ValueError(f"observable norms {nc!r}, {nd!r} overflow the bound") from None
         covs.append(cov)
         bounds.append(bound)
-    mis = [_nonnegative_mi(mi)
+    mis = [_nonnegative_mi(mi, base)
            for mi in _density_mis(mats, dims, [1], [0], base, sides=(rho_c, rho_d))]
     return [CorrelationBound(covariance=cov, bound=bound, mutual_info=mi)
             for cov, bound, mi in zip(covs, bounds, mis)]

@@ -1,10 +1,10 @@
 """The stacked property battery against its trial-by-trial reference loops.
 
-The CLI's batteries and check_mi_properties draw every trial's inputs in
-the generator order of a trial-by-trial loop and evaluate them as stacks;
-battery_oracle holds those loops. Worst values must match with ==, also
-when the stacks are split into many blocks, and a tripped invariant or a
-NaN must surface as it does in the loops.
+The property-suite batteries and check_mi_properties draw every trial's
+inputs in the generator order of a trial-by-trial loop and evaluate them
+as stacks; battery_oracle holds those loops. Worst values must match with
+==, also when the stacks are split into many blocks. A tripped invariant
+must surface as it does in the loops, and a NaN violation as inf.
 """
 
 import math
@@ -15,7 +15,7 @@ import pytest
 import battery_oracle
 import entgeo.channels
 from battery_oracle import ORACLES, mi_property_worsts
-from entgeo import cli, hilbert
+from entgeo import _battery, cli, hilbert
 from entgeo.channels import haar_random_state
 from entgeo.geometry import NoCorrelationsError
 from entgeo.hilbert import (
@@ -27,7 +27,7 @@ from entgeo.hilbert import (
 )
 from entgeo.infotheory import check_mi_properties
 
-BATTERY = {name: check for name, check, _, _ in cli._BATTERY}
+BATTERY = {name: check for name, check, _ in _battery.BATTERY}
 
 
 @pytest.mark.parametrize("seed", [0, 3, 2**32 - 1])
@@ -101,7 +101,7 @@ def test_tripped_invariant_fails_only_its_row(monkeypatch, capsys):
 
 
 def test_tripped_metric_invariant_fails_only_its_row(monkeypatch, capsys):
-    real = cli._pair_mis
+    real = _battery._pair_mis
     tripped = []
 
     def third_trial_negative(amps, dims):
@@ -110,7 +110,7 @@ def test_tripped_metric_invariant_fails_only_its_row(monkeypatch, capsys):
         tripped.append(len(mis))
         return mis
 
-    monkeypatch.setattr(cli, "_pair_mis", third_trial_negative)
+    monkeypatch.setattr(_battery, "_pair_mis", third_trial_negative)
     code, rows = suite_rows(capsys)
     assert tripped == [4]  # all four metric-axioms trials in one stack
     assert code == cli.EXIT_VIOLATION
@@ -120,7 +120,7 @@ def test_tripped_metric_invariant_fails_only_its_row(monkeypatch, capsys):
 
 
 def test_uncorrelated_trial_is_skipped_as_by_the_trial_loop(monkeypatch):
-    real_mis, real_build = cli._pair_mis, battery_oracle.build_info_graph
+    real_mis, real_build = _battery._pair_mis, battery_oracle.build_info_graph
     calls = []
 
     def third_trial_uncorrelated(amps, dims):
@@ -134,13 +134,13 @@ def test_uncorrelated_trial_is_skipped_as_by_the_trial_loop(monkeypatch):
             raise NoCorrelationsError("no pairwise mutual information")
         return real_build(psi)
 
-    monkeypatch.setattr(cli, "_pair_mis", third_trial_uncorrelated)
+    monkeypatch.setattr(_battery, "_pair_mis", third_trial_uncorrelated)
     monkeypatch.setattr(battery_oracle, "build_info_graph", third_build_uncorrelated)
     assert BATTERY["metric-axioms"](37, 3) == ORACLES["metric-axioms"](37, 3)
     assert len(calls) == 37
 
 
-def test_nan_trial_is_skipped_as_by_the_trial_loop(monkeypatch):
+def test_nan_trial_makes_its_battery_worst_inf(monkeypatch):
     real = entgeo.channels._density_mis
     injected = []
 
@@ -150,17 +150,30 @@ def test_nan_trial_is_skipped_as_by_the_trial_loop(monkeypatch):
         return mis
 
     monkeypatch.setattr(entgeo.channels, "_density_mis", nan_when_strong)
-    stacked = BATTERY["nonlocal-monotone"](37, 3)
+    assert BATTERY["nonlocal-monotone"](37, 3) == math.inf
     assert injected
-    # max(worst, nan) keeps worst, so a NaN trial never becomes the worst
-    assert math.isfinite(stacked)
-    assert stacked == ORACLES["nonlocal-monotone"](37, 3)
+
+
+def test_nan_violation_fails_only_its_row(monkeypatch, capsys):
+    real = _battery._pure_mis
+
+    def one_nan(*args, **kwargs):
+        mis = real(*args, **kwargs)
+        mis[len(mis) // 2] = math.nan  # this trial's dense MI, scored by the driver
+        return mis
+
+    monkeypatch.setattr(_battery, "_pure_mis", one_nan)
+    code, rows = suite_rows(capsys)
+    assert code == cli.EXIT_VIOLATION
+    assert rows.pop("schmidt-vs-dense")[2:] == ["inf", "1.000000000e-09", "fail"]
+    assert len(rows) == 8
+    assert all(row[4] == "pass" for row in rows.values())
 
 
 def test_nan_worst_fails_its_row(monkeypatch, capsys):
     battery = [(name, (lambda trials, seed: math.nan) if name == "schmidt-vs-dense" else check,
-                tol, scale) for name, check, tol, scale in cli._BATTERY]
-    monkeypatch.setattr(cli, "_BATTERY", tuple(battery))
+                scale) for name, check, scale in _battery.BATTERY]
+    monkeypatch.setattr(_battery, "BATTERY", tuple(battery))
     code, rows = suite_rows(capsys)
     assert code == cli.EXIT_VIOLATION
     assert rows.pop("schmidt-vs-dense")[2:] == ["nan", "1.000000000e-09", "fail"]

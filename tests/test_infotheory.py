@@ -193,6 +193,20 @@ class TestMutualInformation:
         mi = mutual_information(bell_density(), (("A",), ("B",)), base=2)
         assert abs(mi - 2.0) < 1e-12
 
+    @pytest.mark.parametrize("d, eps", [(16, 1.5e-11), (32, 3e-11)])
+    def test_sign_check_gives_one_verdict_in_every_unit(self, d, eps):
+        # (1 - eps)|01><01| + eps|Phi_d><Phi_d| comes out a few 1e-10 nats
+        # below zero; -1e-9 nats is about -1.4e-9 bits, so both units pass
+        ket01, phi = np.zeros(d * d), np.zeros(d * d)
+        ket01[1] = 1.0
+        phi[:: d + 1] = 1.0 / math.sqrt(d)
+        matrix = (1.0 - eps) * np.outer(ket01, ket01) + eps * np.outer(phi, phi)
+        rho = DensityMatrix((FactorSpace("A", d), FactorSpace("B", d)), matrix.astype(complex))
+        nats = mutual_information(rho, (("A",), ("B",)))
+        bits = mutual_information(rho, (("A",), ("B",)), base=2)
+        assert -1e-9 < nats < 0.0
+        assert bits == pytest.approx(nats / LOG2, rel=1e-6)
+
     def test_product_state_has_none(self):
         psi = PureState(qubits(("A", "B")), np.array([1, 0, 0, 0], dtype=complex))
         assert mutual_information(density_of(psi), (("A",), ("B",))) < 1e-10
@@ -369,6 +383,11 @@ class TestMiProperties:
         assert abs(mi - 2 * math.log(m)) < 1e-9  # sits exactly on the bound
         report = check_mi_properties(rho, trials=10, seed=1)
         assert report.ok
+
+    @pytest.mark.parametrize("trials", [-1, 0, 1.5, math.nan, "2"])
+    def test_rejects_a_non_count_of_trials(self, trials):
+        with pytest.raises(ValueError, match="trials must be an integer >= 1"):
+            check_mi_properties(bell_density(), trials=trials)
 
     def test_two_factor_state_without_monotonicity(self):
         # monotonicity needs a third factor; a two-factor state reports None

@@ -18,11 +18,21 @@ from entgeo.channels import (
     DecoherenceSchedule,
     LocalPerturbation,
     NonLocalPerturbation,
+    dephase_modes,
     haar_random_unitary,
+    localize_modes,
 )
 from entgeo.hilbert import DensityMatrix, FactorSpace, PureState, SchmidtPairState, _Fresh, qubits
-from entgeo.infotheory import correlation_lower_bound, entropy_from_spectrum
-from entgeo.scenarios import qudit_bell
+from entgeo.infotheory import (
+    check_mi_properties,
+    correlation_lower_bound,
+    entropy_from_spectrum,
+    mutual_information,
+    mutual_information_schmidt,
+    pure_state_mutual_information,
+    von_neumann_entropy,
+)
+from entgeo.scenarios import bell_state, momentum_sector_state, qudit_bell, spin_momentum_state
 
 AB = qubits(("A", "B"))
 BELL = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
@@ -103,6 +113,8 @@ COUNT_BUILDERS = {
     "SchmidtPairState": lambda n: SchmidtPairState(num_modes=n),
     "ir_first modes": lambda n: DecoherenceSchedule.ir_first(n, 2, "dephase"),
     "ir_first steps": lambda n: DecoherenceSchedule.ir_first(8, n, "dephase"),
+    "check_mi_properties trials": lambda n: check_mi_properties(
+        DensityMatrix(AB.factors, RHO), trials=n),
 }
 
 
@@ -115,3 +127,46 @@ def test_non_integer_count_raises_value_error(name, bad):
         COUNT_BUILDERS[name](bad)
     assert "must be an integer" in str(excinfo.value)
     assert "np." not in str(excinfo.value)
+
+
+FLAT4 = SchmidtPairState.flat(4, symbolic=False)
+SECTORS = spin_momentum_state(bell_state(("As", "Bs")), momentum_sector_state(num_modes=4))
+
+# each calls one public entry that takes a log base, on a valid state
+BASE_TAKERS = {
+    "entropy_from_spectrum": lambda b: entropy_from_spectrum([0.5, 0.5], base=b),
+    "von_neumann_entropy": lambda b: von_neumann_entropy(DensityMatrix(AB.factors, RHO), base=b),
+    "mutual_information": lambda b: mutual_information(
+        DensityMatrix(AB.factors, RHO), (("A",), ("B",)), base=b),
+    "pure_state_mutual_information": lambda b: pure_state_mutual_information(
+        PureState(AB, BELL), (("A",), ("B",)), base=b),
+    "mutual_information_schmidt": lambda b: mutual_information_schmidt(FLAT4, base=b),
+    "mutual_information_schmidt symbolic": lambda b: mutual_information_schmidt(
+        SchmidtPairState.flat(4), base=b),
+    "mutual_information_schmidt one mode": lambda b: mutual_information_schmidt(
+        SchmidtPairState.from_weights([1.0]), base=b),
+    "correlation_lower_bound": lambda b: correlation_lower_bound(
+        DensityMatrix(AB.factors, RHO), PAULI_Z, PAULI_Z, base=b),
+    "dephase_modes": lambda b: dephase_modes(FLAT4, [1, 2], base=b),
+    "localize_modes": lambda b: localize_modes(FLAT4, [1, 2], base=b),
+    "BranchMixture.mutual_info": lambda b: dephase_modes(FLAT4, [1])[0].mutual_info(base=b),
+    "spin_mutual_info": lambda b: SECTORS.spin_mutual_info(base=b),
+    "momentum_mutual_info": lambda b: SECTORS.momentum_mutual_info(base=b),
+    "total_mutual_info": lambda b: SECTORS.total_mutual_info(base=b),
+    "dense_total_mutual_info": lambda b: SECTORS.dense_total_mutual_info(base=b),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1, 0.5, 0, -2], ids=repr)
+@pytest.mark.parametrize("name", list(BASE_TAKERS))
+def test_bad_log_base_raises_value_error(name, bad):
+    # never nan, 0.0, a negative MI or ZeroDivisionError
+    with pytest.raises(ValueError, match="log base must be finite and > 1"):
+        BASE_TAKERS[name](bad)
+
+
+@pytest.mark.parametrize("name", list(BASE_TAKERS))
+def test_good_log_base_gives_a_value(name):
+    # so the ValueError above comes from the base alone
+    for base in (None, 2, 10.0):
+        BASE_TAKERS[name](base)
