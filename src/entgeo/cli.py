@@ -18,6 +18,7 @@ lines in CSV and a "config" object in JSON.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import sys
@@ -65,6 +66,11 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_VIOLATION = 3
 EXIT_IO = 4
+
+
+# Most bytes read from a --config file; a larger one, or an endless one such
+# as /dev/zero, is a ConfigError.
+_CONFIG_MAX_BYTES = 64 * 1024
 
 
 class ConfigError(Exception):
@@ -162,7 +168,7 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     run_p = sub.add_parser("run", help="run a named scenario")
     run_p.add_argument("scenario", choices=SCENARIOS)
-    run_p.add_argument("--config", metavar="PATH", help="flat key = value parameter file")
+    run_p.add_argument("--config", metavar="PATH", help="flat key = value parameter file, at most 64 KiB")
     run_p.add_argument("--seed", type=int, default=None, metavar="U64")
     run_p.add_argument("--out", metavar="PATH", help="output file (default: stdout)")
     run_p.add_argument("--format", choices=("csv", "json"), default=None)
@@ -178,23 +184,30 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _parse_config_file(path: str) -> dict[str, str]:
-    """Flat `key = value` lines; # starts a comment; keys may use - or _."""
+    """Flat `key = value` lines; # starts a comment; keys may use - or _.
+
+    At most _CONFIG_MAX_BYTES bytes are read, then decoded as UTF-8 text
+    with universal newlines; a longer file is refused before any line is.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read(_CONFIG_MAX_BYTES + 1)
+    if len(data) > _CONFIG_MAX_BYTES:
+        raise ConfigError(f"{path}: config file exceeds {_CONFIG_MAX_BYTES} bytes")
     entries: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-            key, value = line.split("=", 1)
-            key = key.strip().replace("-", "_")
-            value = value.strip()
-            if not key or not value:
-                raise ConfigError(f"{path}:{lineno}: empty key or value")
-            if key in entries:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            entries[key] = value
+    for lineno, raw in enumerate(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
+        key, value = line.split("=", 1)
+        key = key.strip().replace("-", "_")
+        value = value.strip()
+        if not key or not value:
+            raise ConfigError(f"{path}:{lineno}: empty key or value")
+        if key in entries:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        entries[key] = value
     return entries
 
 
@@ -546,7 +559,9 @@ def run(cfg: RunConfig) -> int:
     """Execute one scenario; returns the process exit code.
 
     Output is rendered fully before anything is opened for writing, so a
-    failed computation never leaves a partial file behind.
+    failed computation never leaves a partial file behind. A closed
+    standard output (sys.stdout is None) is an OSError, like any other
+    failed write.
     """
     handler = _HANDLERS[cfg.scenario]
     result = handler(cfg.params, cfg.seed)
@@ -556,6 +571,8 @@ def run(cfg: RunConfig) -> int:
     else:
         text = _render_csv(cfg.scenario, cfg.seed, result)
     if cfg.out is None:
+        if sys.stdout is None:
+            raise OSError("standard output is closed")
         sys.stdout.write(text)
     else:
         with open(cfg.out, "w", encoding="utf-8", newline="") as fh:

@@ -118,7 +118,9 @@ def build_info_graph(psi: PureState) -> InfoGraph:
     factors and keeps pairs at or above MI_EDGE_FLOOR (see _pair_mis and
     _info_graph, of which this is the one-state case). The arithmetic is
     that of reduced_density, partial_trace and mutual_information, so
-    every edge carries the same bits as the per-pair path would.
+    every edge of a pair of at most one block (d_p d_q <= 512) carries the
+    same bits as the per-pair path would; that path takes a larger pair's
+    entropies from cuts of psi.
     Raises NoCorrelationsError when nothing survives (product states).
     """
     if len(psi.labels) < 2:
@@ -133,7 +135,8 @@ def _pair_mis(amps: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
     Pairs are grouped by (d_p, d_q). Each group's reductions of all k states
     go into one (k, P, d, d) stack (see _pair_stack), validated as one
     stack and handed to _density_mis as a stack of two-factor joints, so
-    each MI is mutual_information's for that pair's reduced_density.
+    each MI of a pair of at most one block is mutual_information's for
+    that pair's reduced_density.
     """
     count, n = len(amps), len(dims)
     pairs = list(itertools.combinations(range(n), 2))

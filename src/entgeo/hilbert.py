@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -25,7 +25,10 @@ import numpy as np
 # complex density matrix is 4 GiB, and density_of, mutual_information and
 # apply_nonlocal build such matrices. Building one through reduced_density,
 # partial_trace or density_of holds that matrix plus at most two blocks of
-# _BLOCK_ELEMS temporaries; each eigvalsh on it takes one more d x d copy.
+# _BLOCK_ELEMS temporaries. The entropies of a reduction larger than one
+# block are taken from its complement, of dimension below 32 under the cap
+# (see infotheory._pure_entropies), so no eigvalsh runs on it; one on a
+# matrix built any other way takes one more d x d copy.
 DENSE_CAP = 2**14
 
 # Elements in one block of temporaries (4 MiB of complex). Work on a d x d
@@ -253,10 +256,17 @@ class DensityMatrix:
     its own: it holds the input, the copy and at most two blocks of check
     temporaries. This module's producers pass a _Fresh array instead, which
     is kept without a copy.
+
+    _pure is the pure state this matrix is a reduction of, kept by
+    reduced_density when the matrix is larger than one block of
+    _BLOCK_ELEMS. Entropies of such a matrix, and its partial traces, are
+    then taken from that state. It takes no part in equality or repr,
+    pickles with the matrix and is dropped by dataclasses.replace.
     """
 
     factors: tuple[FactorSpace, ...]
     matrix: np.ndarray
+    _pure: PureState | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if type(self.matrix) is _Fresh:
@@ -336,11 +346,15 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
     """Trace out every factor not named in `keep`.
 
     The kept factors retain their original relative order. Output passes
-    the hermiticity/trace checks of the DensityMatrix constructor.
+    the hermiticity/trace checks of the DensityMatrix constructor. A rho
+    that reduced_density kept its pure state on is reduced from that state:
+    the result is reduced_density(psi, kept labels).
     """
     kept, dropped = _kept_positions(rho.labels, keep)
     if not dropped:
         return rho
+    if rho._pure is not None:
+        return reduced_density(rho._pure, [rho.labels[i] for i in kept])
     kept_factors = tuple(rho.factors[i] for i in kept)
     return DensityMatrix(kept_factors, _Fresh(_trace_out(rho.matrix[None], rho.dims, dropped)[0]))
 
@@ -370,6 +384,12 @@ def reduced_density(psi: PureState, keep: Iterable[str]) -> DensityMatrix:
     dimension. Agrees with partial_trace(density_of(psi), keep). For d
     kept dimensions the working set is the d x d result plus two blocks
     of _BLOCK_ELEMS and the (2, d, d_dropped) contraction buffer.
+
+    The matrix is always built and checked. A result larger than one block
+    (d^2 > _BLOCK_ELEMS) keeps psi as its _pure, so its entropies come
+    from the small side of each cut of psi and its partial traces from
+    psi itself. Keeping every factor gives density_of(psi), which keeps
+    no state.
     """
     kept, dropped = _kept_positions(psi.tps.labels, keep)
     dims = psi.tps.dims
@@ -377,7 +397,10 @@ def reduced_density(psi: PureState, keep: Iterable[str]) -> DensityMatrix:
         return density_of(psi)
     mat = _contract_pure(psi.amplitudes.reshape((1,) + dims), kept, dropped)[0]
     kept_factors = tuple(psi.tps.factors[i] for i in kept)
-    return DensityMatrix(kept_factors, _Fresh(mat))
+    rho = DensityMatrix(kept_factors, _Fresh(mat))
+    if mat.size > _BLOCK_ELEMS:
+        object.__setattr__(rho, "_pure", psi)
+    return rho
 
 
 def _reduced_stack(amps: np.ndarray, tps: TensorProductStructure, keep: Iterable[str],

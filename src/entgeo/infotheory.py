@@ -9,6 +9,7 @@ at zero instead of accumulating noise from the null space.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -20,6 +21,7 @@ from .hilbert import (
     PureState,
     SchmidtPairState,
     TensorProductStructure,
+    _BLOCK_ELEMS,
     _blocks,
     _check_density_stack,
     _count,
@@ -42,9 +44,13 @@ NEG_TOL = 1e-10
 def _base_factor(base: float | None) -> float:
     if base is None:
         return 1.0
-    if not 1.0 < base < math.inf:  # nan fails too
-        raise ValueError(f"log base must be finite and > 1, got {base}")
-    return math.log(base)
+    try:
+        if 1.0 < base < math.inf:  # nan fails too
+            return math.log(base)
+    except TypeError:  # not a real number, such as "2" or 2j
+        pass
+    shown = base if isinstance(base, numbers.Real) else repr(base)
+    raise ValueError(f"log base must be finite and > 1, got {shown}")
 
 
 def _neg_xlogx(p: np.ndarray) -> float:
@@ -75,7 +81,15 @@ def entropy_from_spectrum(spectrum: Iterable[float], base: float | None = None) 
 
 
 def von_neumann_entropy(rho: DensityMatrix, base: float | None = None) -> float:
-    """Von Neumann entropy -tr(rho log rho) via the eigenvalue spectrum."""
+    """Von Neumann entropy -tr(rho log rho) via the eigenvalue spectrum.
+
+    A rho that reduced_density kept its pure state psi on (a matrix larger
+    than one block) gets the entropy of that cut of psi from
+    _pure_entropies, which takes it from the dropped side.
+    """
+    psi = rho._pure
+    if psi is not None:
+        return _pure_entropies(psi.amplitudes[None], psi.tps, rho.labels, base)[0]
     return _matrix_entropies(np.asarray(rho.matrix)[None], base)[0]
 
 
@@ -129,8 +143,12 @@ def _check_spectra(spectra: np.ndarray, bad: str) -> None:
 def _split_pair(
     labels: Sequence[str], split: tuple[Sequence[str], Sequence[str]]
 ) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    part_a = tuple(split[0]) if not isinstance(split[0], str) else (split[0],)
-    part_b = tuple(split[1]) if not isinstance(split[1], str) else (split[1],)
+    try:
+        side_a, side_b = split
+    except (TypeError, ValueError):  # not iterable, or not two sides
+        raise ValueError("split must have exactly two sides (A, B)") from None
+    part_a = tuple(side_a) if not isinstance(side_a, str) else (side_a,)
+    part_b = tuple(side_b) if not isinstance(side_b, str) else (side_b,)
     sa, sb = set(part_a), set(part_b)
     if not part_a or not part_b:
         raise ValueError("both sides of the split must be non-empty")
@@ -154,11 +172,17 @@ def mutual_information(
 
     The split must partition the factors of rho exactly. The value is
     nonnegative up to eigensolver noise and bounded by
-    log(dim A) + log(dim B). It is the one-matrix case of _density_mis, with
-    the bits of von_neumann_entropy on partial_trace(rho, A), on
-    partial_trace(rho, B) and on rho.
+    log(dim A) + log(dim B). It has the bits of von_neumann_entropy on
+    partial_trace(rho, A), on partial_trace(rho, B) and on rho. For a rho
+    that reduced_density kept its pure state psi on, each of the three is
+    a cut of psi taken by _pure_entropies; otherwise the value is the
+    one-matrix case of _density_mis.
     """
-    part_a, _ = _split_pair(rho.labels, split)
+    part_a, part_b = _split_pair(rho.labels, split)
+    psi = rho._pure
+    if psi is not None:
+        s_a_plus_b = _pure_mis(psi.amplitudes[None], psi.tps, part_a, part_b, base)[0]
+        return _nonnegative_mi(s_a_plus_b - von_neumann_entropy(rho, base), base)
     pos_a, pos_b = _kept_positions(rho.labels, part_a)
     return _nonnegative_mi(_density_mis(rho.matrix[None], rho.dims, pos_b, pos_a, base)[0], base)
 
@@ -219,7 +243,18 @@ def _pure_mis(amps: np.ndarray, tps: TensorProductStructure, part_a: Sequence[st
 def _pure_entropies(amps: np.ndarray, tps: TensorProductStructure, keep: Sequence[str],
                     base: float | None = None, work: np.ndarray | None = None) -> list[float]:
     """von_neumann_entropy(reduced_density(psi, keep)) of each state vector psi
-    in the (k, D) stack amps on tps: one contraction, check and eigensolve."""
+    in the (k, D) stack amps on tps: one contraction, check and eigensolve.
+
+    The one pure-cut kernel. A kept side whose matrix is larger than one
+    block (d^2 > _BLOCK_ELEMS, the threshold at which reduced_density keeps
+    psi) is swapped for its complement, which shares its nonzero spectrum
+    (Schmidt decomposition). Under DENSE_CAP that complement has dimension
+    below 32, so it is always the smaller side. A side of at most one block
+    is kept as named, so its bits are those of its own matrix.
+    """
+    kept, dropped = _kept_positions(tps.labels, keep)
+    if dropped and math.prod(tps.dims[i] for i in kept) ** 2 > _BLOCK_ELEMS:
+        keep = [tps.labels[i] for i in dropped]
     return _matrix_entropies(_reduced_stack(amps, tps, keep, work)[0], base)
 
 
@@ -355,7 +390,9 @@ def _chain_entropies(rho: DensityMatrix,
     The chain () names rho, (K,) partial_trace(rho, K) and (K, J)
     partial_trace(partial_trace(rho, K), J). Matrices of one size are
     eigensolved as stacks of up to one block of _BLOCK_ELEMS entries, so
-    each entropy is von_neumann_entropy's bits for its matrix.
+    each entropy is von_neumann_entropy's bits for its matrix. A matrix
+    larger than one block is a run of its own and goes through
+    von_neumann_entropy, which takes a purified one from its pure state.
     """
     dim_of = {f.label: f.dim for f in rho.factors}
     by_dim: dict[int, list] = {}
@@ -366,14 +403,18 @@ def _chain_entropies(rho: DensityMatrix,
     for d, group in by_dim.items():
         for run in _blocks(len(group), d * d):
             part = [group[i] for i in run]
-            out.update(zip(part, _matrix_entropies(np.array([_chain_matrix(rho, c) for c in part]))))
+            rhos = [_chain_rho(rho, c) for c in part]
+            if len(rhos) == 1:
+                out[part[0]] = von_neumann_entropy(rhos[0])
+            else:
+                out.update(zip(part, _matrix_entropies(np.array([r.matrix for r in rhos]))))
     return out
 
 
-def _chain_matrix(rho: DensityMatrix, chain: tuple[frozenset[str], ...]) -> np.ndarray:
+def _chain_rho(rho: DensityMatrix, chain: tuple[frozenset[str], ...]) -> DensityMatrix:
     for keep in chain:
         rho = partial_trace(rho, keep)
-    return rho.matrix
+    return rho
 
 
 def _random_three_way(rng: np.random.Generator, labels: list[str]):

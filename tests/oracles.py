@@ -104,3 +104,15 @@ def mixed_channel_rho(weights, dephased, localized) -> np.ndarray:
 def random_weights(rng: np.random.Generator, num_modes: int) -> np.ndarray:
     w = rng.standard_normal(num_modes) + 1j * rng.standard_normal(num_modes)
     return w / np.linalg.norm(w)
+
+
+def svd_entropy(amp: np.ndarray, dims, kept) -> float:
+    """Entropy of the factors at positions kept of a pure state with
+    amplitudes amp over dims, from its Schmidt coefficients: the singular
+    values of the amplitude matrix split between kept and the rest."""
+    rest = [i for i in range(len(dims)) if i not in kept]
+    d = int(np.prod([dims[i] for i in kept]))
+    m = np.transpose(np.reshape(amp, dims), list(kept) + rest).reshape(d, -1)
+    p = np.linalg.svd(m, compute_uv=False) ** 2
+    p = p[p > 1e-12]
+    return float(-(p * np.log(p)).sum())

@@ -412,6 +412,27 @@ class TestConfigFile:
         assert code == 2
         assert "seed" in err
 
+    @pytest.mark.parametrize("size, code", [(64 * 1024, 0), (64 * 1024 + 1, 2)])
+    def test_read_is_bounded_at_64_kib(self, tmp_path, capsys, size, code):
+        cfg = tmp_path / "run.cfg"
+        head = b"seed = 7\n"
+        cfg.write_bytes(head + b"#" * (size - len(head)))
+        got, out, err = run_cli(capsys, "run", "vanilla-bell", "--config", str(cfg))
+        assert got == code
+        if code == 0:
+            assert "# seed = 7" in out.splitlines()
+        else:
+            assert err == f"error: {cfg}: config file exceeds 65536 bytes\n"
+
+    @pytest.mark.skipif(not Path("/dev/zero").exists(), reason="needs /dev/zero")
+    def test_endless_file_is_a_config_error(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "entgeo", "run", "vanilla-bell", "--config", "/dev/zero"],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert "exceeds 65536 bytes" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestUsageErrors:
     def test_no_arguments(self, capsys):
@@ -471,6 +492,14 @@ class TestOutputFile:
         code, _, err = run_cli(capsys, "run", "vanilla-bell", "--out", str(missing_dir))
         assert code == 4
         assert "i/o error" in err
+
+    def test_closed_stdout_is_io_error(self):
+        # the child starts with file descriptor 1 closed, so sys.stdout is None
+        proc = subprocess.run(
+            ["sh", "-c", 'exec "$0" -m entgeo run vanilla-bell >&-', sys.executable],
+            stderr=subprocess.PIPE, text=True, timeout=60)
+        assert proc.returncode == 4
+        assert proc.stderr == "i/o error: standard output is closed\n"
 
 
 @pytest.mark.parametrize("argv,code", [

@@ -1,4 +1,8 @@
+import dataclasses
 import math
+import pickle
+import tracemalloc
+from decimal import Decimal
 from unittest import mock
 
 import numpy as np
@@ -8,11 +12,13 @@ from hypothesis import strategies as st
 
 import entgeo.infotheory
 from entgeo.hilbert import (
+    DENSE_CAP,
     DensityMatrix,
     FactorSpace,
     PureState,
     SchmidtPairState,
     TensorProductStructure,
+    _Fresh,
     density_of,
     partial_trace,
     qubits,
@@ -30,7 +36,7 @@ from entgeo.infotheory import (
     von_neumann_entropy,
 )
 
-from oracles import random_weights
+from oracles import random_weights, svd_entropy
 
 LOG2 = math.log(2.0)
 BELL = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
@@ -295,6 +301,110 @@ class TestDensityKernelBits:
             for base in (None, 2.0):
                 got = correlation_lower_bound(rho, *obs, base=base).mutual_info
                 assert got.hex() == written_out_mi(rho, ("F0",), ("F1",), base).hex()
+
+
+def haar_qubits(n: int, seed: int) -> PureState:
+    labels = [f"Q{i}" for i in range(n)]
+    return random_state([(lb, 2) for lb in labels], seed)
+
+
+def purified(n: int, keep: int, seed: int) -> tuple[PureState, DensityMatrix]:
+    """A Haar state on n qubits and its reduction to keep of them, chosen
+    at random and held in the state's order."""
+    psi = haar_qubits(n, seed)
+    rng = np.random.default_rng(seed)
+    kept = sorted(rng.choice(n, keep, replace=False).tolist())
+    return psi, reduced_density(psi, [psi.labels[i] for i in kept])
+
+
+class TestPurifiedReductions:
+    """A reduction larger than one block keeps its pure state, and its
+    entropies come from the small side of each cut of that state."""
+
+    @pytest.mark.parametrize("n", [11, 12])
+    def test_agrees_with_svd_oracle(self, n):
+        psi, rho = purified(n, 10, n)
+        assert rho._pure is psi
+        pos = [psi.labels.index(lb) for lb in rho.labels]
+        dims = psi.tps.dims
+        s_k = svd_entropy(psi.amplitudes, dims, pos)
+        assert abs(von_neumann_entropy(rho) - s_k) < 1e-12
+        for cut in (1, 4, 9):
+            a, b = pos[:cut], pos[cut:]
+            want = svd_entropy(psi.amplitudes, dims, a) + svd_entropy(psi.amplitudes, dims, b) - s_k
+            split = (rho.labels[:cut], rho.labels[cut:])
+            assert abs(mutual_information(rho, split) - want) < 1e-12
+
+    @pytest.mark.parametrize("cut", [1, 5, 9])
+    def test_mutual_information_has_the_written_out_bits(self, cut):
+        _, rho = purified(11, 10, 7)
+        part_a, part_b = rho.labels[:cut], rho.labels[cut:]
+        for base in (None, 2.0):
+            got = mutual_information(rho, (part_a, part_b), base=base)
+            assert got.hex() == written_out_mi(rho, part_a, part_b, base).hex()
+
+    def test_partial_trace_reduces_the_pure_state(self):
+        psi, rho = purified(11, 10, 3)
+        small = partial_trace(rho, rho.labels[2:7])
+        assert small._pure is None
+        assert np.array_equal(small.matrix, reduced_density(psi, rho.labels[2:7]).matrix)
+        assert partial_trace(rho, rho.labels) is rho
+
+    def test_one_block_keeps_no_state(self):
+        # 9 of 10 qubits: 512 x 512, exactly one block
+        psi = haar_qubits(10, 5)
+        assert reduced_density(psi, psi.labels[:9])._pure is None
+        assert reduced_density(psi, psi.labels[:10])._pure is None  # density_of
+        assert reduced_density(haar_qubits(11, 5), [f"Q{i}" for i in range(10)])._pure is not None
+
+    def test_pickles_and_compares_as_its_matrix(self):
+        psi, rho = purified(11, 10, 11)
+        back = pickle.loads(pickle.dumps(rho))
+        assert back._pure is not None
+        assert np.array_equal(back._pure.amplitudes, psi.amplitudes)
+        assert von_neumann_entropy(back).hex() == von_neumann_entropy(rho).hex()
+        plain = DensityMatrix(rho.factors, _Fresh(rho.matrix))
+        assert plain._pure is None
+        assert plain == rho
+        assert repr(plain) == repr(rho)
+        assert dataclasses.replace(rho)._pure is None
+
+    def test_property_checks_on_a_purified_state(self):
+        _, rho = purified(11, 10, 13)
+        assert check_mi_properties(rho, trials=1, seed=2).ok
+
+    def test_pure_split_at_the_cap_takes_the_small_side(self):
+        n = DENSE_CAP.bit_length() - 1
+        psi = haar_qubits(n, 1)
+        split = (psi.labels[:1], psi.labels[1:])
+        tracemalloc.start()
+        try:
+            mi = pure_state_mutual_information(psi, split)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert mi == 2.0 * von_neumann_entropy(reduced_density(psi, split[0]))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: mutual_information(bell_density(), (("A",),)), "exactly two sides"),
+    (lambda: mutual_information(bell_density(), (("A",), ("B",), ())), "exactly two sides"),
+    (lambda: mutual_information(bell_density(), 2), "exactly two sides"),
+    (lambda: pure_state_mutual_information(PureState(qubits(("A", "B")), BELL), ("A",), ("B",)),
+     "exactly two sides"),
+    (lambda: mutual_information(bell_density(), ("A", "B"), base="2"), "log base"),
+    (lambda: von_neumann_entropy(bell_density(), base=[2.0]), "log base"),
+    (lambda: entropy_from_spectrum([0.5, 0.5], base=2j), "log base"),
+], ids=["one side", "three sides", "not a pair", "pure, sides as two args",
+        "str base", "list base", "complex base"])
+def test_bad_split_or_base_raises_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+    # the valid forms of the same calls keep their bits
+    for split in ((("A",), ("B",)), ["A", "B"], "AB"):
+        assert mutual_information(bell_density(), split, base=2) == 2.0
+    assert mutual_information(bell_density(), ("A", "B"), base=Decimal(2)) == 2.0
 
 
 class TestSchmidtMutualInformation:
