@@ -50,7 +50,7 @@ def haar_random_unitary(dim: int, seed: int) -> np.ndarray:
     positive, which removes the QR gauge ambiguity and makes the
     distribution exactly Haar. Deterministic per (dim, seed).
     """
-    return _haar_unitaries(dim, [seed])[0]
+    return _haar_unitaries(dim, [_count(seed, 0, "seed")])[0]
 
 
 def _haar_unitaries(dim: int, seeds: Sequence[int]) -> np.ndarray:
@@ -70,7 +70,7 @@ def _haar_unitaries(dim: int, seeds: Sequence[int]) -> np.ndarray:
 
 def haar_random_state(tps: TensorProductStructure, seed: int) -> PureState:
     """Normalized complex-Gaussian state vector (Haar on the sphere)."""
-    return PureState(tps, _haar_amplitudes(tps.total_dim, [seed])[0])
+    return PureState(tps, _haar_amplitudes(tps.total_dim, [_count(seed, 0, "seed")])[0])
 
 
 def _haar_amplitudes(dim: int, seeds: Sequence[int]) -> np.ndarray:
@@ -155,20 +155,11 @@ class NonLocalPerturbation:
         return self._env.labels
 
 
-def apply_unitary(psi: PureState, u: np.ndarray, labels: Sequence[str]) -> PureState:
-    """Apply a unitary to the named factors of a dense pure state.
-
-    The unitary is indexed row-major over the factors in the order given
-    by labels; all other factors are untouched.
-    """
-    u = np.asarray(u, dtype=complex)
-    return PureState(psi.tps, _apply_unitaries(psi.tps, psi.amplitudes[None], u[None], labels)[0])
-
-
 def _apply_unitaries(tps: TensorProductStructure, amps: np.ndarray, us: np.ndarray,
                      labels: Sequence[str]) -> np.ndarray:
-    """apply_unitary's amplitudes for each state vector in the (k, D) stack amps
-    on tps, the k-th under the k-th unitary of the complex (k, a, a) stack us.
+    """Amplitudes of each state vector in the (k, D) stack amps on tps after
+    the k-th unitary of the complex (k, a, a) stack us acts on the factors
+    named by labels, indexed row-major in that order; the others are untouched.
 
     np.tensordot's arithmetic with a leading stack axis: the target axes
     go first and one matrix product per state contracts them.
@@ -351,6 +342,9 @@ def _modes(modes: Iterable[int]) -> np.ndarray:
             idx = np.unique(idx)
     else:
         modes = list(modes)
+        # int() and == read a bool as 0 or 1, so bools are refused by type
+        if not {bool, np.bool_}.isdisjoint(map(type, modes)):
+            raise ValueError("modes must be integers, not bools")
         ints = list(map(int, modes))
         if ints != modes:  # 2.5 or "3" among them
             raise ValueError(f"mode {next(n for n in modes if int(n) != n)!r} not an integer")

@@ -217,29 +217,6 @@ class WeightFunction:
     def __call__(self, x: float) -> float:
         return self.length_scale * self.phi(x)
 
-    @classmethod
-    def from_table(cls, xs: Sequence[float], ys: Sequence[float],
-                   length_scale: float = 1.0, name: str = "table") -> "WeightFunction":
-        """Piecewise-linear profile from a monotone table.
-
-        xs must increase within (0, 1] and end at 1 with ys ending at 0;
-        ys must be non-increasing. Below the smallest tabulated x the
-        profile saturates at the first table value rather than diverging.
-        """
-        x_arr = np.asarray(xs, dtype=float)
-        y_arr = np.asarray(ys, dtype=float)
-        if x_arr.ndim != 1 or x_arr.shape != y_arr.shape or x_arr.size < 2:
-            raise ValueError("table needs matching 1-d xs and ys with at least 2 points")
-        if np.any(np.diff(x_arr) <= 0) or x_arr[0] <= 0.0 or x_arr[-1] != 1.0:
-            raise ValueError("xs must strictly increase within (0, 1] and end at 1")
-        if np.any(np.diff(y_arr) > 0) or y_arr[-1] != 0.0:
-            raise ValueError("ys must be non-increasing and end at 0")
-
-        def phi(x: float, _x=x_arr, _y=y_arr) -> float:
-            return float(np.interp(x, _x, _y))
-
-        return cls(phi=phi, length_scale=length_scale, name=name)
-
 
 def neg_log_weight(length_scale: float = 1.0) -> WeightFunction:
     """The canonical profile phi(x) = -log x: zero at x = 1, diverging as
@@ -287,9 +264,10 @@ def _weight_matrix(graph: InfoGraph, wf: WeightFunction, ref_mi: float | None = 
     return w
 
 
-def _shortest_paths(w: np.ndarray, sources: Sequence[int]) -> np.ndarray:
-    """Shortest path lengths from each source under each V x V length matrix
-    of the (k, V, V) stack w: a (k, len(sources), V) stack, one row per source.
+def _shortest_paths(w: np.ndarray) -> np.ndarray:
+    """Shortest path lengths between all vertices under each V x V length
+    matrix of the (k, V, V) stack w: a (k, V, V) stack, row s of each
+    matrix holding the lengths from vertex s.
 
     Min-plus relaxation to a fixed point: each round extends every row by
     one edge, d[s, v] = min(d[s, v], min_u d[s, u] + w[u, v]). A path's
@@ -298,16 +276,15 @@ def _shortest_paths(w: np.ndarray, sources: Sequence[int]) -> np.ndarray:
     same float Dijkstra returns. Floyd-Warshall's d[i, k] + d[k, j] joins
     two partial sums instead and can land an ulp away. With lengths >= 0
     no shortest path needs more than V - 1 edges, so V rounds suffice.
-    The k * len(sources) rows are relaxed in blocks of hilbert._blocks,
-    each beside a copy of its own matrix, so a round's terms stay within
-    one block; a row at its fixed point stays there while its block goes on.
+    The k * V rows are relaxed in blocks of hilbert._blocks, each beside a
+    copy of its own matrix, so a round's terms stay within one block; a
+    row at its fixed point stays there while its block goes on.
     """
     count, n = w.shape[:2]
-    total = count * len(sources)
-    d = np.full((total, n), math.inf)
-    d[np.arange(total), np.tile(sources, count)] = 0.0
-    owner = np.repeat(np.arange(count), len(sources))
-    for run in _blocks(total, n * n):
+    d = np.full((count * n, n), math.inf)
+    d[np.arange(count * n), np.tile(np.arange(n), count)] = 0.0
+    owner = np.repeat(np.arange(count), n)
+    for run in _blocks(count * n, n * n):
         run = slice(run.start, run.stop)
         block, lengths = d[run], w[owner[run]]
         for _ in range(n):
@@ -316,7 +293,7 @@ def _shortest_paths(w: np.ndarray, sources: Sequence[int]) -> np.ndarray:
                 break
             block = nxt
         d[run] = block
-    return d.reshape(count, len(sources), n)
+    return d.reshape(count, n, n)
 
 
 def _distance_matrices(w: np.ndarray) -> np.ndarray:
@@ -324,24 +301,8 @@ def _distance_matrices(w: np.ndarray) -> np.ndarray:
     (k, V, V) stack w, as symmetric matrices with a zero diagonal: the pair
     (p, q), p before q in vertex order, keeps the value measured from p.
     """
-    d = _shortest_paths(w, range(w.shape[1]))
+    d = _shortest_paths(w)
     return np.where(np.triu(np.ones(w.shape[1:], dtype=bool)), d, d.swapaxes(1, 2))
-
-
-def emergent_distance(graph: InfoGraph, wf: WeightFunction, p: str, q: str,
-                      ref_mi: float | None = None) -> float:
-    """Shortest-path distance between two vertices (inf when disconnected).
-
-    ref_mi defaults to the graph's own i0; pass an external reference to
-    normalize against a different baseline (a pre-perturbation value, say).
-    """
-    for v in (p, q):
-        if v not in graph.vertices:
-            raise KeyError(f"unknown vertex {v!r}")
-    if p == q:
-        return 0.0
-    row = _shortest_paths(_weight_matrix(graph, wf, ref_mi)[None], [graph.vertices.index(p)])[0, 0]
-    return float(row[graph.vertices.index(q)])
 
 
 @dataclass(frozen=True)

@@ -184,6 +184,10 @@ class PureState:
             raise ValueError(f"state not normalized: |psi| = {float(nrm)}")
         object.__setattr__(self, "amplitudes", amp)
 
+    def __reduce__(self):
+        # pickle and deepcopy rebuild through the constructor, which locks the array
+        return PureState, (self.tps, self.amplitudes)
+
     @property
     def labels(self) -> tuple[str, ...]:
         return self.tps.labels
@@ -284,6 +288,10 @@ class DensityMatrix:
         _check_density_stack(mat[None])
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
+
+    def __reduce__(self):
+        # as PureState.__reduce__; the state dict restores _pure
+        return DensityMatrix, (self.factors, self.matrix), {"_pure": self._pure}
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -507,10 +515,16 @@ class SchmidtPairState:
             raise ValueError(f"weights not normalized: |w| = {float(nrm)}")
         object.__setattr__(self, "weights", w)
 
+    def __reduce__(self):
+        # as PureState.__reduce__
+        return SchmidtPairState, (self.num_modes, self.weights)
+
     @classmethod
     def from_weights(cls, weights) -> "SchmidtPairState":
         """Explicit-weight state over len(weights) modes; no mode limit applies."""
-        w = np.asarray(weights, dtype=complex).reshape(-1)
+        w = np.asarray(weights, dtype=complex)
+        if w.ndim != 1:
+            raise ValueError(f"weights must be a 1-d array, got shape {w.shape}")
         return cls(num_modes=w.shape[0], weights=w)
 
     @classmethod
@@ -570,19 +584,3 @@ def schmidt_to_dense(s: SchmidtPairState, labels: tuple[str, str] = ("A", "B")) 
     amp = np.zeros((m, m), dtype=complex)
     amp[np.arange(m), np.arange(m - 1, -1, -1)] = w
     return PureState(tps, amp.reshape(-1))
-
-
-def schmidt_reduce(s: SchmidtPairState, side: str = "A") -> DensityMatrix:
-    """Closed-form reduced density operator of one side: diag of |w_n|^2.
-
-    Side "A" indexes by mode n, side "B" by partner f(n), so B's diagonal
-    is A's reversed.
-    """
-    if side not in ("A", "B"):
-        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    p = s.probabilities()
-    m = s.num_modes
-    if m < 2:
-        raise ValueError("reduced operator needs at least 2 modes")
-    diag = p if side == "A" else p[::-1]
-    return DensityMatrix((FactorSpace(side, m),), _Fresh(np.diag(diag).astype(complex)))

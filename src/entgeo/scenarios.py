@@ -23,8 +23,6 @@ from .hilbert import (
     SchmidtPairState,
     TensorProductStructure,
     qubits,
-    schmidt_to_dense,
-    tensor,
 )
 from .infotheory import (
     mutual_information,
@@ -115,24 +113,6 @@ class SectorState:
     def total_mutual_info(self, base: float | None = None) -> float:
         """I(Alice : Bob) over both sectors; additive because they multiply."""
         return self.spin_mutual_info(base=base) + self.momentum_mutual_info(base=base)
-
-    def to_dense(self) -> PureState:
-        """Dense four-factor state for cross-checks (pure spin sector only).
-
-        Factor order: both spin factors, then both momentum factors; the
-        Alice side is (spin[0], momentum_labels[0]).
-        """
-        if not isinstance(self.spin, PureState):
-            raise ValueError("dense cross-check state needs a pure spin sector")
-        mom = schmidt_to_dense(self.momentum, labels=self.momentum_labels)
-        return tensor(self.spin, mom)
-
-    def dense_total_mutual_info(self, base: float | None = None) -> float:
-        """Total MI through the dense pipeline, for validating additivity."""
-        psi = self.to_dense()
-        a, b = self.spin.labels
-        ap, bp = self.momentum_labels
-        return pure_state_mutual_information(psi, ((a, ap), (b, bp)), base=base)
 
 
 def spin_momentum_state(spin: PureState | DensityMatrix, momentum: SchmidtPairState) -> SectorState:

@@ -13,10 +13,10 @@ from entgeo.channels import (
     LocalPerturbation,
     NonLocalPerturbation,
     ScheduleStep,
+    _apply_unitaries,
     _modes,
     apply_local,
     apply_nonlocal,
-    apply_unitary,
     decoherence_sweep,
     dephase_modes,
     haar_random_state,
@@ -90,6 +90,11 @@ class TestHaarRandomState:
         np.testing.assert_array_equal(
             psi.amplitudes, haar_random_state(tps, seed=3).amplitudes
         )
+
+
+def apply_unitary(psi, u, labels):
+    """psi after u acts on the named factors, through the kernel of apply_local."""
+    return PureState(psi.tps, _apply_unitaries(psi.tps, psi.amplitudes[None], u[None], labels)[0])
 
 
 class TestApplyUnitary:

@@ -15,6 +15,14 @@ from entgeo.cli import main
 
 LOG2 = math.log(2.0)
 GOLDEN = Path(__file__).parent / "golden"
+# (file, scenario, flags) of each run in the golden manifest, in its order
+GOLDEN_RUNS = [
+    (name, scenario, tuple(flags))
+    for name, scenario, *flags in (
+        line.split() for line in (GOLDEN / "manifest.txt").read_text().splitlines()
+        if line.strip() and not line.startswith("#")
+    )
+]
 
 
 def run_cli(capsys, *argv):
@@ -194,51 +202,6 @@ class TestMomentumSweep:
         assert out == ""
         assert err == ("error: sweeping 1048577 modes needs explicit weights "
                        "beyond the materialization limit\n")
-
-    # Pinned bytes of committed configurations: sweeps, graphs and the
-    # property suite, whose worst violations print round-off residues, so
-    # any change to a kernel's arithmetic shows there first. Sweep JSON
-    # (full repr) and --spin-mi 0 (whose fully localized row is -log of a
-    # round-off residual or inf) are left out: their last bits depend on
-    # summation order. Explicit ids keep each entry's "<file>-flags<k>" name
-    # stable as entries are added.
-    GOLDEN_RUNS = [
-        ("momentum-sweep_seed11.csv", "momentum-sweep", ("--seed", "11")),
-        ("momentum-sweep_dephase_16x4.csv", "momentum-sweep",
-         ("--channel", "dephase", "--n-modes", "16", "--steps", "4")),
-        ("momentum-sweep_dephase_65536x64.csv", "momentum-sweep",
-         ("--channel", "dephase", "--n-modes", "65536", "--steps", "64")),
-        ("momentum-sweep_localize_65536x64.csv", "momentum-sweep",
-         ("--channel", "localize", "--n-modes", "65536", "--steps", "64")),
-        ("momentum-sweep_localize_777x777.csv", "momentum-sweep",
-         ("--n-modes", "777", "--steps", "777")),
-        ("graph-reconstruct_bell.csv", "graph-reconstruct", ("--state", "bell")),
-        ("graph-reconstruct_ghz3.csv", "graph-reconstruct", ("--state", "ghz3")),
-        ("graph-reconstruct_w3.csv", "graph-reconstruct", ("--state", "w3")),
-        ("graph-reconstruct_random_seed5.csv", "graph-reconstruct",
-         ("--state", "random", "--seed", "5")),
-        ("graph-reconstruct_random_10q_seed7.csv", "graph-reconstruct",
-         ("--state", "random", "--n-qubits", "10", "--seed", "7")),
-        ("property-suite_trials100_seed3.csv", "property-suite",
-         ("--trials", "100", "--seed", "3")),
-        ("property-suite_trials100_seed1.csv", "property-suite",
-         ("--trials", "100", "--seed", "1")),
-        ("property-suite_trials100_seed7.csv", "property-suite",
-         ("--trials", "100", "--seed", "7")),
-        ("property-suite_trials100_seed3.json", "property-suite",
-         ("--trials", "100", "--seed", "3", "--format", "json")),
-        ("property-suite_trials5_seed3.json", "property-suite",
-         ("--trials", "5", "--seed", "3", "--format", "json")),
-        ("vanilla-bell.csv", "vanilla-bell", ()),
-        ("bell-env.csv", "bell-env", ()),
-        ("qudit-bell_n5.csv", "qudit-bell", ("--n", "5")),
-        ("spin-momentum_4modes.csv", "spin-momentum", ("--n-modes", "4")),
-        ("spin-momentum_lapp1e-3_electron.csv", "spin-momentum",
-         ("--l-app", "1e-3", "--mass", "9.109e-31")),
-        # the last materialized and the first symbolic mode count
-        ("spin-momentum_1048576modes.csv", "spin-momentum", ("--n-modes", "1048576")),
-        ("spin-momentum_1048577modes.csv", "spin-momentum", ("--n-modes", "1048577")),
-    ]
 
     @pytest.mark.parametrize(
         "name,scenario,flags", GOLDEN_RUNS,

@@ -23,7 +23,6 @@ from entgeo.geometry import (
     build_info_graph,
     edge_records,
     edge_weight,
-    emergent_distance,
     emergent_metric,
     metric_check,
     neg_log_weight,
@@ -143,21 +142,6 @@ class TestWeightFunction:
         with pytest.raises(ValueError, match="length_scale"):
             neg_log_weight(0.0)
 
-    def test_table_profile_interpolates(self):
-        wf = WeightFunction.from_table([0.25, 0.5, 1.0], [2.0, 1.0, 0.0])
-        assert abs(wf.phi(0.375) - 1.5) < 1e-12
-        assert wf.phi(1.0) == 0.0
-        # saturates instead of extrapolating below the table
-        assert wf.phi(0.01) == 2.0
-
-    def test_table_rejects_non_monotone(self):
-        with pytest.raises(ValueError, match="non-increasing"):
-            WeightFunction.from_table([0.5, 0.75, 1.0], [1.0, 1.5, 0.0])
-
-    def test_table_must_end_at_one(self):
-        with pytest.raises(ValueError, match="end at 1"):
-            WeightFunction.from_table([0.25, 0.5], [1.0, 0.0])
-
 
 class TestEdgeWeight:
     def test_reference_edge_has_exactly_zero_weight(self):
@@ -194,6 +178,10 @@ class TestEdgeWeight:
         assert all(a >= b - 1e-12 for a, b in zip(weights, weights[1:]))
 
 
+def distance(graph, wf, p, q, ref_mi=None):
+    return emergent_metric(graph, wf, ref_mi).distance(p, q)
+
+
 class TestEmergentDistance:
     def synthetic_graph(self) -> InfoGraph:
         # weights under -log with i0 = 1 pinned by the (X, Y) anchor edge:
@@ -210,33 +198,33 @@ class TestEmergentDistance:
 
     def test_detour_beats_direct_edge(self):
         graph = self.synthetic_graph()
-        d = emergent_distance(graph, neg_log_weight(), "P", "Q")
+        d = distance(graph, neg_log_weight(), "P", "Q")
         assert abs(d - 3.0) < 1e-9
 
     def test_distance_to_self_is_zero(self):
-        assert emergent_distance(self.synthetic_graph(), neg_log_weight(), "P", "P") == 0.0
+        assert distance(self.synthetic_graph(), neg_log_weight(), "P", "P") == 0.0
 
     def test_disconnected_component_is_infinite(self):
-        assert emergent_distance(self.synthetic_graph(), neg_log_weight(), "P", "X") == math.inf
+        assert distance(self.synthetic_graph(), neg_log_weight(), "P", "X") == math.inf
 
     def test_unknown_vertex(self):
         with pytest.raises(KeyError):
-            emergent_distance(self.synthetic_graph(), neg_log_weight(), "P", "Z")
+            distance(self.synthetic_graph(), neg_log_weight(), "P", "Z")
 
     def test_maximally_correlated_pair_sits_at_zero_distance(self):
         # distinct vertices at distance zero: allowed by the pseudo-metric
         graph = InfoGraph(("P", "Q"), {("P", "Q"): 0.7})
-        assert emergent_distance(graph, neg_log_weight(), "P", "Q") == 0.0
+        assert distance(graph, neg_log_weight(), "P", "Q") == 0.0
 
     def test_length_scale_scales_distances(self):
         graph = self.synthetic_graph()
-        d1 = emergent_distance(graph, neg_log_weight(1.0), "P", "Q")
-        d2 = emergent_distance(graph, neg_log_weight(2.0), "P", "Q")
+        d1 = distance(graph, neg_log_weight(1.0), "P", "Q")
+        d2 = distance(graph, neg_log_weight(2.0), "P", "Q")
         assert abs(d2 - 2.0 * d1) < 1e-12
 
     def test_external_reference_stretches_all_edges(self):
         graph = InfoGraph(("P", "Q"), {("P", "Q"): 0.5})
-        d = emergent_distance(graph, neg_log_weight(), "P", "Q", ref_mi=1.0)
+        d = distance(graph, neg_log_weight(), "P", "Q", ref_mi=1.0)
         assert abs(d - LOG2) < 1e-12
 
     def test_negative_length_raises(self):
@@ -245,8 +233,6 @@ class TestEmergentDistance:
         graph = InfoGraph(("P", "Q"), {("P", "Q"): 0.5})
         with pytest.raises(ValueError, match=">= 0"):
             emergent_metric(graph, wf)
-        with pytest.raises(ValueError, match=">= 0"):
-            emergent_distance(graph, wf, "P", "Q")
 
     def test_every_length_consumer_rejects_a_negative_length(self):
         # the step-0 distance of a sweep and a strongest edge both sit at
@@ -543,7 +529,8 @@ def random_graph(seed: int) -> InfoGraph:
 PROFILES = (
     neg_log_weight(),
     neg_log_weight(3.7),
-    WeightFunction.from_table([0.01, 0.2, 0.5, 1.0], [4.0, 2.0, 0.7, 0.0]),
+    # a piecewise-linear table that saturates below its first point
+    WeightFunction(phi=lambda x: float(np.interp(x, [0.01, 0.2, 0.5, 1.0], [4.0, 2.0, 0.7, 0.0]))),
 )
 
 
@@ -599,10 +586,10 @@ class TestArrayPathMatchesPerPairPath:
             rows = {v: reference_dijkstra(graph, wf, v, graph.i0) for v in verts}
             assert metric.table == {(p, q): rows[p][q]
                                     for i, p in enumerate(verts) for q in verts[i + 1:]}
-            for p in verts:
-                for q in verts:
-                    expected = 0.0 if p == q else rows[p][q]
-                    assert emergent_distance(graph, wf, p, q) == expected
+            for i, p in enumerate(verts):
+                for j, q in enumerate(verts):
+                    expected = 0.0 if p == q else rows[verts[min(i, j)]][verts[max(i, j)]]
+                    assert metric.distance(p, q) == metric.distance(q, p) == expected
 
     def test_external_reference_matches_dijkstra(self):
         graph = random_graph(17)
@@ -693,8 +680,7 @@ class TestStackedGeometry:
         monkeypatch.setattr(entgeo.hilbert, "_BLOCK_ELEMS", block_elems)
         dist = entgeo.geometry._distance_matrices(lengths)
         worsts = entgeo.geometry._metric_worsts(dist).tolist()
-        sources = [n - 1, 0]
-        paths = entgeo.geometry._shortest_paths(lengths, sources)
+        paths = entgeo.geometry._shortest_paths(lengths)
         for t, graph in enumerate(graphs):
             verts = graph.vertices
             assert expected_metrics[t].table == {
@@ -702,7 +688,7 @@ class TestStackedGeometry:
             report = expected_reports[t]
             assert worsts[t] == [report.nonnegativity, report.symmetry,
                                  report.triangle, report.diagonal]
-            alone = entgeo.geometry._shortest_paths(lengths[t][None], sources)[0]
+            alone = entgeo.geometry._shortest_paths(lengths[t][None])[0]
             assert np.array_equal(paths[t], alone)
         # two components need 3 vertices; on 2 the split graph is one edge
         assert any(math.isinf(d) for m in expected_metrics for d in m.table.values()) == (n > 2)

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -19,7 +22,6 @@ from entgeo.hilbert import (
     partial_trace,
     qubits,
     reduced_density,
-    schmidt_reduce,
     schmidt_to_dense,
     tensor,
 )
@@ -310,8 +312,6 @@ class TestSchmidtPairState:
             s.probabilities()
         with pytest.raises(ExplicitWeightsRequired):
             schmidt_to_dense(s)
-        with pytest.raises(ExplicitWeightsRequired):
-            schmidt_reduce(s)
 
     def test_materialize_small_flat(self):
         s = SchmidtPairState.flat(8).materialize()
@@ -380,38 +380,11 @@ class TestSchmidtDense:
         single = SchmidtPairState.from_weights([1.0])
         with pytest.raises(ValueError, match="at least 2"):
             schmidt_to_dense(single)
-        with pytest.raises(ValueError, match="at least 2"):
-            schmidt_reduce(single)
 
     def test_cap_enforced(self):
         s = SchmidtPairState.flat(200, symbolic=False)
         with pytest.raises(ValueError, match="cap"):
             schmidt_to_dense(s)
-
-    def test_reduce_matches_dense_roundtrip_all_sizes(self):
-        # closed-form marginals against the generic dense route, every mode
-        # count up to the dense pipeline comparison ceiling
-        rng = np.random.default_rng(17)
-        for m in range(2, 65):
-            w = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-            s = SchmidtPairState.from_weights(w / np.linalg.norm(w))
-            psi = schmidt_to_dense(s)
-            rho = density_of(psi)
-            for side in ("A", "B"):
-                closed = schmidt_reduce(s, side)
-                dense = partial_trace(rho, (side,))
-                np.testing.assert_allclose(
-                    closed.matrix, dense.matrix, atol=1e-12,
-                    err_msg=f"side {side}, {m} modes",
-                )
-
-    def test_reduce_side_b_uses_pairing(self):
-        # B's diagonal is A's reversed
-        w = np.array([0.6, 0.0, 0.8], dtype=complex)
-        rho_b = schmidt_reduce(SchmidtPairState.from_weights(w), "B")
-        np.testing.assert_allclose(
-            np.diag(rho_b.matrix).real, [0.64, 0.0, 0.36], atol=1e-15
-        )
 
     @given(seed=st.integers(0, 10_000), m=st.integers(2, 12))
     @settings(max_examples=30)
@@ -561,8 +534,7 @@ class TestRowBlockedDensePath:
         labels = [f"Q{i}" for i in range(11)]
         psi = PureState(qubits(labels), amplitude_tensor((2,) * 11, 5).reshape(-1))
         rho = reduced_density(psi, labels[:10])
-        flat = SchmidtPairState.flat(3, symbolic=False)
-        for out in (rho, partial_trace(rho, labels[:3]), schmidt_reduce(flat)):
+        for out in (rho, partial_trace(rho, labels[:3])):
             assert not out.matrix.flags.writeable
             with pytest.raises(ValueError):
                 out.matrix[0, 0] = 1.0
@@ -587,3 +559,30 @@ class TestRowBlockedDensePath:
         with traced_peak() as peak:
             DensityMatrix(rho.factors, rho.matrix)
         assert peak() < 2 * matrix_bytes
+
+
+def same_locked(a, b) -> bool:
+    """a and b hold equal values field by field, _pure included, and every
+    array of b is read-only."""
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b) and not b.flags.writeable
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            same_locked(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    return a == b
+
+
+@pytest.mark.parametrize("case", ["pure", "density", "purified density", "schmidt"])
+def test_pickle_and_deepcopy_keep_the_lock(monkeypatch, case):
+    # a 3-qubit reduction exceeds a 16-element block, so it keeps its state
+    monkeypatch.setattr(hilbert, "_BLOCK_ELEMS", 16)
+    psi = PureState(qubits(("A", "B", "C", "D")), amplitude_tensor((2,) * 4, 3).reshape(-1))
+    state = {
+        "pure": psi,
+        "density": DensityMatrix(qubits(("A", "B")).factors, np.diag([0.1, 0.2, 0.3, 0.4])),
+        "purified density": reduced_density(psi, ("A", "B", "C")),
+        "schmidt": SchmidtPairState.from_weights([0.6, 0.8j]),
+    }[case]
+    assert (getattr(state, "_pure", None) is not None) == (case == "purified density")
+    for copied in (pickle.loads(pickle.dumps(state)), copy.deepcopy(state)):
+        assert same_locked(state, copied)

@@ -1,11 +1,16 @@
-"""Every name a library module imports is used in that module."""
+"""Every name a library module imports is used in that module, and every
+public name has a reason to exist in README's table."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
+import entgeo
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "entgeo"
+README = SRC.parent.parent / "README.md"
 
 # Imported on purpose for other modules to read, never used where imported.
 REEXPORTS = {("geometry.py", "mutual_information")}
@@ -52,3 +57,23 @@ def test_catches_an_unused_import(tmp_path):
                       "import numpy as np\n\n"
                       "@dataclass\nclass A:\n    x: int = 0\n")
     assert unused_imports(module) == ["field", "np"]
+
+
+def reason_rows(text: str) -> list[tuple[str, str]]:
+    """(name, reason) of each row of the table under README's "## Public names"."""
+    section = text.split("\n## Public names\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^\| `([^`]+)` \| (.*?) \|$", section, flags=re.MULTILINE)
+
+
+def test_every_public_name_has_one_reason():
+    rows = reason_rows(README.read_text(encoding="utf-8"))
+    names = [name for name, _ in rows]
+    assert len(names) == len(set(names))
+    assert sorted(names) == sorted(entgeo.__all__)
+    assert all(reason.strip() for _, reason in rows)
+
+
+def test_reason_rows_are_read_from_the_table():
+    text = ("# x\n\n## Public names\n\n| name | reason |\n| --- | --- |\n"
+            "| `a` | claim 01 |\n| `b` |  |\n\n## CLI\n\n| `c` | not here |\n")
+    assert reason_rows(text) == [("a", "claim 01"), ("b", "")]

@@ -19,6 +19,7 @@ from entgeo.channels import (
     LocalPerturbation,
     NonLocalPerturbation,
     dephase_modes,
+    haar_random_state,
     haar_random_unitary,
     localize_modes,
 )
@@ -130,6 +131,37 @@ def test_non_integer_count_raises_value_error(name, bad):
 
 
 FLAT4 = SchmidtPairState.flat(4, symbolic=False)
+
+# each: a call with an argument of the wrong kind, a valid neighbour of it,
+# and the float.hex that neighbour returned before its argument was checked
+ARGUMENT_KINDS = {
+    "haar_random_unitary seed": (
+        lambda: haar_random_unitary(2, 1.5),
+        lambda: haar_random_unitary(2, np.int64(7))[0, 1].real, "0x1.ef9ab20717863p-2"),
+    "haar_random_state seed": (
+        lambda: haar_random_state(AB, 1.5),
+        lambda: haar_random_state(AB, np.int64(7)).amplitudes[3].imag, "0x1.595f2c4cce1ecp-1"),
+    "from_weights 2-d": (
+        lambda: SchmidtPairState.from_weights(np.ones((2, 2)) / 2),
+        lambda: mutual_information_schmidt(SchmidtPairState.from_weights([0.6, 0.8j])),
+        "0x1.4e8cd46280282p+0"),
+    "dephase_modes bool array": (
+        lambda: dephase_modes(FLAT4, np.array([True])),
+        lambda: dephase_modes(FLAT4, np.array([1]))[1], "0x1.1ae996d7dfe1bp+1"),
+    "localize_modes bool": (
+        lambda: localize_modes(FLAT4, [True, 2]),
+        lambda: localize_modes(FLAT4, [1, 2])[1], "0x1.62e42fefa39efp+0"),
+}
+
+
+@pytest.mark.parametrize("name", list(ARGUMENT_KINDS))
+def test_wrong_argument_kind_raises_value_error(name):
+    # never numpy's TypeError, a flattened array or True read as mode 1
+    bad, good, bits = ARGUMENT_KINDS[name]
+    with pytest.raises(ValueError):
+        bad()
+    assert float(good()).hex() == bits
+
 SECTORS = spin_momentum_state(bell_state(("As", "Bs")), momentum_sector_state(num_modes=4))
 
 # each calls one public entry that takes a log base, on a valid state
@@ -153,7 +185,6 @@ BASE_TAKERS = {
     "spin_mutual_info": lambda b: SECTORS.spin_mutual_info(base=b),
     "momentum_mutual_info": lambda b: SECTORS.momentum_mutual_info(base=b),
     "total_mutual_info": lambda b: SECTORS.total_mutual_info(base=b),
-    "dense_total_mutual_info": lambda b: SECTORS.dense_total_mutual_info(base=b),
 }
 
 

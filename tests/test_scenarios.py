@@ -4,8 +4,19 @@ import numpy as np
 import pytest
 
 import entgeo.hilbert
-from entgeo.hilbert import ExplicitWeightsRequired, SchmidtPairState, partial_trace, qubits
-from entgeo.infotheory import mutual_information, von_neumann_entropy
+from entgeo.hilbert import (
+    ExplicitWeightsRequired,
+    SchmidtPairState,
+    partial_trace,
+    qubits,
+    schmidt_to_dense,
+    tensor,
+)
+from entgeo.infotheory import (
+    mutual_information,
+    pure_state_mutual_information,
+    von_neumann_entropy,
+)
 from entgeo.scenarios import (
     HBAR,
     PhysicalScales,
@@ -70,6 +81,14 @@ class TestReferenceStates:
         assert abs(mutual_information(rho, (("A",), ("B",))) - mi) < 1e-12
 
 
+def dense_total_mutual_info(state: SectorState) -> float:
+    """I(Alice : Bob) of a pure-spin sector state through the dense pipeline:
+    both spin factors, then both momentum factors."""
+    psi = tensor(state.spin, schmidt_to_dense(state.momentum, labels=("Ap", "Bp")))
+    a, b = state.spin.labels
+    return pure_state_mutual_information(psi, ((a, "Ap"), (b, "Bp")))
+
+
 class TestSectorState:
     def test_sector_additivity(self):
         state = spin_momentum_state(bell_state(), SchmidtPairState.flat(4, symbolic=False))
@@ -79,12 +98,12 @@ class TestSectorState:
 
     def test_dense_cross_check(self):
         state = spin_momentum_state(bell_state(), SchmidtPairState.flat(4, symbolic=False))
-        assert abs(state.dense_total_mutual_info() - state.total_mutual_info()) < 1e-10
+        assert abs(dense_total_mutual_info(state) - state.total_mutual_info()) < 1e-10
 
     def test_dense_cross_check_nonuniform(self):
         w = np.sqrt([0.5, 0.3, 0.2])
         state = spin_momentum_state(bell_state(), SchmidtPairState.from_weights(w))
-        assert abs(state.dense_total_mutual_info() - state.total_mutual_info()) < 1e-10
+        assert abs(dense_total_mutual_info(state) - state.total_mutual_info()) < 1e-10
 
     def test_product_spin_contributes_nothing(self):
         from entgeo.hilbert import PureState
@@ -100,13 +119,6 @@ class TestSectorState:
         )
         assert abs(state.spin_mutual_info() - LOG2) < 1e-10
         assert abs(state.total_mutual_info() - (LOG2 + 2 * math.log(4))) < 1e-10
-
-    def test_dense_route_requires_pure_spin(self):
-        state = spin_momentum_state(
-            classical_mixture_state(), SchmidtPairState.flat(4, symbolic=False)
-        )
-        with pytest.raises(ValueError, match="pure spin"):
-            state.to_dense()
 
     def test_symbolic_momentum_total_still_works(self):
         state = spin_momentum_state(bell_state(), SchmidtPairState.flat(10**29))
