@@ -88,8 +88,8 @@ def _entropy_gaps(shape: tuple[int, int], seeds: list[int]) -> list[float]:
     """|S(A) - S(B)| of the Haar states on A x B of the given shape, one per seed."""
     tps = TensorProductStructure((FactorSpace("A", shape[0]), FactorSpace("B", shape[1])))
     amps = _haar_amplitudes(tps.total_dim, seeds)
-    s_a = _pure_entropies(amps, tps, ("A",))
-    s_b = _pure_entropies(amps, tps, ("B",))
+    s_a = _pure_entropies(amps, tps, [0])
+    s_b = _pure_entropies(amps, tps, [1])
     return [abs(a - b) for a, b in zip(s_a, s_b)]
 
 
@@ -184,7 +184,7 @@ def _draw_observables(rng: np.random.Generator, seed: int, i: int):
 def _bound_excesses(_, draws: list) -> list[float]:
     seeds, obs_c, obs_d = zip(*draws)
     rho, factors = _reduced_stack(_haar_amplitudes(_QUBITS_CDE.total_dim, seeds),
-                                  _QUBITS_CDE, ("C", "D"))
+                                  _QUBITS_CDE, [0, 1])  # C, D
     results = _correlation_bounds(rho, factors, np.array(obs_c), np.array(obs_d))
     return [result.bound - result.mutual_info for result in results]
 
@@ -197,7 +197,7 @@ def _draw_schmidt_pair(rng: np.random.Generator, seed: int, i: int):
 
 def _closed_form_gaps(tps: TensorProductStructure, draws: list) -> list[float]:
     closed, amps = zip(*draws)
-    dense = _pure_mis(np.array(amps), tps, ("A",), ("B",))
+    dense = _pure_mis(np.array(amps), tps, [0], [1])
     return [abs(mi - mi_dense) for mi, mi_dense in zip(closed, dense)]
 
 

@@ -26,7 +26,7 @@ from .hilbert import (
     SchmidtPairState,
     TensorProductStructure,
     _count,
-    _kept_positions,
+    _positions,
     _reduced_stack,
 )
 from .infotheory import (
@@ -100,21 +100,13 @@ def _check_unitaries(us: np.ndarray, what: str) -> None:
 
 
 def _set_labels_and_unitary(pert: LocalPerturbation | NonLocalPerturbation) -> None:
-    """Checks and stores a perturbation's labels (as a tuple) and unitary (locked)."""
-    object.__setattr__(pert, "labels", tuple(pert.labels))
-    if not pert.labels or len(set(pert.labels)) != len(pert.labels):
-        raise ValueError("labels must be non-empty and unique")
+    """Checks and stores a perturbation's labels (as a tuple; a str is one
+    label) and unitary (locked)."""
+    object.__setattr__(pert, "labels", tuple(_positions(None, pert.labels)))
     u = np.asarray(pert.unitary, dtype=complex)
     _check_unitaries(u[None], "unitary")
     u.setflags(write=False)
     object.__setattr__(pert, "unitary", u)
-
-
-def _check_known_factors(pert_labels: Iterable[str], psi_labels: Iterable[str]) -> None:
-    """Rejects perturbation labels that name no factor of the state."""
-    outside = set(pert_labels) - set(psi_labels)
-    if outside:
-        raise ValueError(f"perturbation touches unknown factors {sorted(outside)}")
 
 
 @dataclass(frozen=True)
@@ -156,23 +148,20 @@ class NonLocalPerturbation:
 
 
 def _apply_unitaries(tps: TensorProductStructure, amps: np.ndarray, us: np.ndarray,
-                     labels: Sequence[str]) -> np.ndarray:
+                     positions: list[int]) -> np.ndarray:
     """Amplitudes of each state vector in the (k, D) stack amps on tps after
     the k-th unitary of the complex (k, a, a) stack us acts on the factors
-    named by labels, indexed row-major in that order; the others are untouched.
+    at the distinct positions, indexed row-major in that order; the others
+    are untouched.
 
     np.tensordot's arithmetic with a leading stack axis: the target axes
     go first and one matrix product per state contracts them.
     """
-    labels = tuple(labels)
-    if len(set(labels)) != len(labels):
-        raise ValueError("target labels must be unique")
-    positions = [tps.index_of(lb) for lb in labels]
     dims = tps.dims
-    act_dims = [dims[i] for i in positions]
-    act_dim = math.prod(act_dims)
+    act_dim = math.prod(dims[i] for i in positions)
     _check_unitaries(us, "unitary")
     if us.shape[1:] != (act_dim, act_dim):
+        labels = tuple(tps.labels[i] for i in positions)
         raise ValueError(
             f"unitary must be {act_dim}x{act_dim} for factors {labels}, got {us.shape[1:]}"
         )
@@ -215,12 +204,11 @@ def _apply_locals(
     k-th under the k-th unitary of us on labels: the moved amplitudes and
     each (delta_mi, delta_s_a). The first trial whose identity breaks raises.
     """
-    side_a, side_b = _split_pair(tps.labels, split)
-    _check_known_factors(labels, tps.labels)
-    moved = _apply_unitaries(tps, amps, us, labels)
+    pos_a, pos_b = _split_pair(tps.labels, split)
+    moved = _apply_unitaries(tps, amps, us, list(_positions(tps.labels, labels).values()))
     work = np.empty(2 * amps.size, dtype=complex)
     s_a0, s_b0, s_a1, s_b1 = (_pure_entropies(stack, tps, side, work=work)
-                              for stack in (amps, moved) for side in (side_a, side_b))
+                              for stack in (amps, moved) for side in (pos_a, pos_b))
     deltas = []
     for a0, b0, a1, b1 in zip(s_a0, s_b0, s_a1, s_b1):
         # joint state pure before and after: I = S_A + S_B throughout
@@ -269,25 +257,25 @@ def _apply_nonlocals(
     factors: the extended structure and amplitudes, and each delta_mi. The
     first trial whose MI grows beyond atol raises.
     """
-    side_a, side_b = _split_pair(tps.labels, split)
+    pos_a, pos_b = _split_pair(tps.labels, split)
     collision = set(env.labels) & set(tps.labels)
     if collision:
         raise ValueError(f"environment labels collide with system labels {sorted(collision)}")
-    _check_known_factors(labels, tps.labels)
-    touched = set(labels)
-    if not (touched <= set(side_a) or touched <= set(side_b)):
+    target = list(_positions(tps.labels, labels).values())
+    if not (set(target) <= set(pos_a) or set(target) <= set(pos_b)):
         raise ValueError(
             "system factors of a nonlocal perturbation must lie on one side of the split"
         )
-    mi0 = _pure_mis(amps, tps, side_a, side_b)
+    mi0 = _pure_mis(amps, tps, pos_a, pos_b)
+    n = len(tps.dims)
     extended_tps = TensorProductStructure(tps.factors + env.tps.factors)
     # tensor()'s np.kron product, one leading stack axis further in
     coupled = (amps[:, :, None] * env.amplitudes[None, None, :]).reshape(len(amps), -1)
-    extended = _apply_unitaries(extended_tps, coupled, us, tuple(labels) + env.labels)
-    rho_ab, factors = _reduced_stack(extended, extended_tps, side_a + side_b)
-    pos_a, pos_b = _kept_positions([f.label for f in factors], side_a)
-    mi1 = [_nonnegative_mi(mi)
-           for mi in _density_mis(rho_ab, [f.dim for f in factors], pos_b, pos_a)]
+    extended = _apply_unitaries(extended_tps, coupled, us,
+                                target + list(range(n, len(extended_tps.dims))))
+    # the split partitions the system, so rho_AB keeps its factors and positions
+    rho_ab = _reduced_stack(extended, extended_tps, range(n))[0]
+    mi1 = [_nonnegative_mi(mi) for mi in _density_mis(rho_ab, tps.dims, pos_b, pos_a)]
     deltas = [m1 - m0 for m0, m1 in zip(mi0, mi1)]
     for delta_mi in deltas:
         if delta_mi > atol:

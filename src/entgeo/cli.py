@@ -152,7 +152,8 @@ SCENARIO_PARAMS: dict[str, tuple[ParamSpec, ...]] = {
         ParamSpec("l_rc", _positive_float, 1.0, "length scale multiplying edge weights"),
     ),
     "property-suite": (
-        ParamSpec("trials", _positive_int, 100, "trials per randomized check"),
+        ParamSpec("trials", _positive_int, 100,
+                  "trials per randomized check (no cap; run time grows linearly with it)"),
     ),
 }
 

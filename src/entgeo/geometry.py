@@ -182,8 +182,7 @@ def _pair_stack(t: np.ndarray, pairs: list[tuple[int, int]], d: int) -> np.ndarr
     joint = np.empty((len(t), len(pairs), d, d), dtype=complex)
     work = np.empty(2 * t.size, dtype=complex)
     for x, (i, j) in enumerate(pairs):
-        rest = [r for r in range(t.ndim - 1) if r != i and r != j]
-        joint[:, x] = _contract_pure(t, [i, j], rest, work)
+        joint[:, x] = _contract_pure(t, [i, j], work)
     return joint
 
 
@@ -198,7 +197,6 @@ class WeightFunction:
 
     phi: Callable[[float], float]
     length_scale: float = 1.0
-    name: str = "custom"
 
     def __post_init__(self) -> None:
         if not (self.length_scale > 0.0 and math.isfinite(self.length_scale)):
@@ -221,7 +219,7 @@ class WeightFunction:
 def neg_log_weight(length_scale: float = 1.0) -> WeightFunction:
     """The canonical profile phi(x) = -log x: zero at x = 1, diverging as
     the correlation vanishes."""
-    return WeightFunction(phi=lambda x: -math.log(x), length_scale=length_scale, name="neg-log")
+    return WeightFunction(phi=lambda x: -math.log(x), length_scale=length_scale)
 
 
 def edge_weight(mi: float, ref_mi: float, wf: WeightFunction) -> float:
@@ -372,10 +370,7 @@ class MetricReport:
         return worst <= self.atol
 
 
-def metric_check(
-    metric: EmergentMetric | Mapping[tuple[str, str], float],
-    atol: float = 1e-9,
-) -> MetricReport:
+def metric_check(metric: EmergentMetric | Mapping[tuple[str, str], float]) -> MetricReport:
     """Check pseudo-metric axioms on a metric or a raw directed table.
 
     A raw mapping may carry directed pairs (p, q) and (q, p) separately,
@@ -385,10 +380,10 @@ def metric_check(
     -inf distance counts as an infinite nonnegativity violation (a NaN on
     the diagonal as an infinite diagonal one). The checks broadcast over
     the V x V distance matrix (see _metric_worsts, of which this is the
-    one-matrix case).
+    one-matrix case). The report is ok when each worst is within 1e-9.
     """
     d = metric.d if isinstance(metric, EmergentMetric) else _table_matrix(metric)
-    return MetricReport(*_metric_worsts(d[None])[0].tolist(), atol=atol)
+    return MetricReport(*_metric_worsts(d[None])[0].tolist(), atol=1e-9)
 
 
 def _metric_worsts(d: np.ndarray) -> np.ndarray:

@@ -92,8 +92,14 @@ class FactorSpace:
 
 
 def _factor_tuple(factors: Iterable[FactorSpace]) -> tuple[FactorSpace, ...]:
-    """factors as a tuple, checked to be non-empty with unique labels."""
-    factors = tuple(factors)
+    """factors as a tuple, checked to be non-empty FactorSpace items with unique labels."""
+    try:
+        factors = tuple(factors)
+    except TypeError:  # not iterable, such as a TensorProductStructure: one bad item
+        factors = (factors,)
+    for f in factors:
+        if not isinstance(f, FactorSpace):
+            raise ValueError(f"factors must be FactorSpace items, got {type(f).__name__}")
     if not factors:
         raise ValueError("need at least one factor")
     labels = [f.label for f in factors]
@@ -146,12 +152,6 @@ class TensorProductStructure:
     def total_dim(self) -> int:
         return math.prod(f.dim for f in self.factors)
 
-    def index_of(self, label: str) -> int:
-        for i, f in enumerate(self.factors):
-            if f.label == label:
-                return i
-        raise KeyError(f"no factor labeled {label!r}")
-
 
 def qubits(labels: Sequence[str]) -> TensorProductStructure:
     """Tensor product structure of dimension-2 factors, one per label."""
@@ -159,9 +159,9 @@ def qubits(labels: Sequence[str]) -> TensorProductStructure:
 
 
 def _as_locked_complex(values, length: int, what: str) -> np.ndarray:
-    arr = np.array(values, dtype=complex, copy=True).reshape(-1)
+    arr = np.array(values, dtype=complex, copy=True)
     if arr.shape != (length,):
-        raise ValueError(f"{what} must have length {length}, got {arr.shape}")
+        raise ValueError(f"{what} must be a 1-d array of length {length}, got shape {arr.shape}")
     arr.setflags(write=False)
     return arr
 
@@ -305,10 +305,10 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def validate(self, atol: float = ATOL_STRUCT) -> None:
-        """Full invariant check including spectrum nonnegativity."""
+    def validate(self) -> None:
+        """Full invariant check including spectrum nonnegativity (to ATOL_STRUCT)."""
         lam = np.linalg.eigvalsh(self.matrix)
-        if lam.min() < -atol:
+        if lam.min() < -ATOL_STRUCT:
             raise ValueError(f"matrix has negative eigenvalue {lam.min()}")
 
 
@@ -338,31 +338,44 @@ def density_of(psi: PureState) -> DensityMatrix:
                          _Fresh(np.outer(psi.amplitudes, psi.amplitudes.conj())))
 
 
-def _kept_positions(labels: Sequence[str], keep: Iterable[str]) -> tuple[list[int], list[int]]:
-    keep_set = set(keep)
-    if not keep_set:
-        raise ValueError("must keep at least one factor")
-    unknown = keep_set - set(labels)
+def _positions(labels: Sequence[str] | None, side) -> dict[str, int]:
+    """The one reading of a label argument (a keep, a split side or a
+    perturbation target): each label side names, in side's own order,
+    mapped to the position of its factor in labels.
+
+    A str is one label. Anything else must be a non-empty collection of
+    distinct str labels, or ValueError. A label that names no factor
+    raises KeyError. With labels None, as for a perturbation's target
+    before it meets a state, side's own labels are the factors.
+    """
+    try:
+        named = (side,) if isinstance(side, str) else tuple(side)
+    except TypeError:  # not iterable
+        named = ()
+    if not named or not all(isinstance(lb, str) for lb in named) or len(set(named)) < len(named):
+        raise ValueError(
+            f"labels must be a str or a non-empty collection of distinct strs, got {side!r}")
+    where = {lb: i for i, lb in enumerate(named if labels is None else labels)}
+    unknown = sorted(set(named) - where.keys())
     if unknown:
-        raise KeyError(f"unknown factor labels {sorted(unknown)}")
-    kept = [i for i, lb in enumerate(labels) if lb in keep_set]
-    dropped = [i for i, lb in enumerate(labels) if lb not in keep_set]
-    return kept, dropped
+        raise KeyError(f"unknown factor labels {unknown}")
+    return {lb: where[lb] for lb in named}
 
 
-def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
-    """Trace out every factor not named in `keep`.
+def partial_trace(rho: DensityMatrix, keep: Iterable[str] | str) -> DensityMatrix:
+    """Trace out every factor not named in `keep` (a str names one factor).
 
     The kept factors retain their original relative order. Output passes
     the hermiticity/trace checks of the DensityMatrix constructor. A rho
     that reduced_density kept its pure state on is reduced from that state:
     the result is reduced_density(psi, kept labels).
     """
-    kept, dropped = _kept_positions(rho.labels, keep)
-    if not dropped:
+    kept = sorted(_positions(rho.labels, keep).values())
+    if len(kept) == len(rho.labels):
         return rho
     if rho._pure is not None:
         return reduced_density(rho._pure, [rho.labels[i] for i in kept])
+    dropped = [i for i in range(len(rho.labels)) if i not in kept]
     kept_factors = tuple(rho.factors[i] for i in kept)
     return DensityMatrix(kept_factors, _Fresh(_trace_out(rho.matrix[None], rho.dims, dropped)[0]))
 
@@ -384,7 +397,7 @@ def _trace_out(mats: np.ndarray, dims: Sequence[int], dropped: Sequence[int]) ->
     return t.reshape(count, d, d)
 
 
-def reduced_density(psi: PureState, keep: Iterable[str]) -> DensityMatrix:
+def reduced_density(psi: PureState, keep: Iterable[str] | str) -> DensityMatrix:
     """Reduced density operator of a pure state without forming |psi><psi|.
 
     Contracts the complement directly from the state vector, so the cost is
@@ -399,11 +412,10 @@ def reduced_density(psi: PureState, keep: Iterable[str]) -> DensityMatrix:
     psi itself. Keeping every factor gives density_of(psi), which keeps
     no state.
     """
-    kept, dropped = _kept_positions(psi.tps.labels, keep)
-    dims = psi.tps.dims
-    if not dropped:
+    kept = sorted(_positions(psi.labels, keep).values())
+    if len(kept) == len(psi.labels):
         return density_of(psi)
-    mat = _contract_pure(psi.amplitudes.reshape((1,) + dims), kept, dropped)[0]
+    mat = _contract_pure(psi.amplitudes.reshape((1,) + psi.tps.dims), kept)[0]
     kept_factors = tuple(psi.tps.factors[i] for i in kept)
     rho = DensityMatrix(kept_factors, _Fresh(mat))
     if mat.size > _BLOCK_ELEMS:
@@ -411,31 +423,31 @@ def reduced_density(psi: PureState, keep: Iterable[str]) -> DensityMatrix:
     return rho
 
 
-def _reduced_stack(amps: np.ndarray, tps: TensorProductStructure, keep: Iterable[str],
+def _reduced_stack(amps: np.ndarray, tps: TensorProductStructure, kept: Sequence[int],
                    work: np.ndarray | None = None) -> tuple[np.ndarray, tuple[FactorSpace, ...]]:
     """reduced_density(psi, keep) of each state vector psi in the (k, D) stack
     amps on tps, as a checked (k, d, d) stack and its factors.
 
-    keep must leave a factor out. work is passed on to _contract_pure.
+    kept are the ascending positions of keep, which must leave a factor
+    out. work is passed on to _contract_pure.
     """
-    kept, dropped = _kept_positions(tps.labels, keep)
-    mats = _contract_pure(amps.reshape((len(amps),) + tps.dims), kept, dropped, work)
+    mats = _contract_pure(amps.reshape((len(amps),) + tps.dims), kept, work)
     _check_density_stack(mats)
     return mats, tuple(tps.factors[i] for i in kept)
 
 
-def _contract_pure(t: np.ndarray, kept: list[int], dropped: list[int],
+def _contract_pure(t: np.ndarray, kept: Sequence[int],
                    work: np.ndarray | None = None) -> np.ndarray:
     """Reduced density matrices of a (k, *dims) stack t of amplitude tensors.
 
-    kept and dropped are positions in dims. Copies the stack with the kept
-    axes first into work[0], a (k, d_kept, d_dropped) complex stack, its
-    conjugate into work[1], contracts the dropped axes in one stacked
-    matrix product (one gemm per tensor, as for a lone tensor) and
-    symmetrizes the result, so each matrix is exactly hermitian. work is a
-    flat complex buffer of 2 t.size entries; a caller contracting many
-    subsets passes one buffer for all of them, without it a fresh one is
-    made.
+    kept are positions in dims; the others, in ascending order, are
+    dropped. Copies the stack with the kept axes first into work[0], a
+    (k, d_kept, d_dropped) complex stack, its conjugate into work[1],
+    contracts the dropped axes in one stacked matrix product (one gemm per
+    tensor, as for a lone tensor) and symmetrizes the result, so each
+    matrix is exactly hermitian. work is a flat complex buffer of 2 t.size
+    entries; a caller contracting many subsets passes one buffer for all
+    of them, without it a fresh one is made.
 
     A stack of at most _BLOCK_ELEMS entries is symmetrized in one
     expression. A larger one is symmetrized in place, matrix by matrix and
@@ -447,7 +459,7 @@ def _contract_pure(t: np.ndarray, kept: list[int], dropped: list[int],
     blocks.
     """
     count, dims = t.shape[0], t.shape[1:]
-    order = kept + dropped
+    order = [*kept, *(i for i in range(len(dims)) if i not in kept)]
     dk = math.prod(dims[i] for i in kept)
     if work is None:
         work = np.empty(2 * t.size, dtype=complex)
@@ -523,9 +535,7 @@ class SchmidtPairState:
     def from_weights(cls, weights) -> "SchmidtPairState":
         """Explicit-weight state over len(weights) modes; no mode limit applies."""
         w = np.asarray(weights, dtype=complex)
-        if w.ndim != 1:
-            raise ValueError(f"weights must be a 1-d array, got shape {w.shape}")
-        return cls(num_modes=w.shape[0], weights=w)
+        return cls(num_modes=w.size, weights=w)
 
     @classmethod
     def flat(cls, num_modes: int, symbolic: bool = True) -> "SchmidtPairState":

@@ -26,7 +26,7 @@ from .hilbert import (
     _check_density_stack,
     _count,
     _herm_errors,
-    _kept_positions,
+    _positions,
     _reduced_stack,
     _trace_out,
     partial_trace,
@@ -89,7 +89,8 @@ def von_neumann_entropy(rho: DensityMatrix, base: float | None = None) -> float:
     """
     psi = rho._pure
     if psi is not None:
-        return _pure_entropies(psi.amplitudes[None], psi.tps, rho.labels, base)[0]
+        kept = list(_positions(psi.labels, rho.labels).values())
+        return _pure_entropies(psi.amplitudes[None], psi.tps, kept, base)[0]
     return _matrix_entropies(np.asarray(rho.matrix)[None], base)[0]
 
 
@@ -142,25 +143,19 @@ def _check_spectra(spectra: np.ndarray, bad: str) -> None:
 
 def _split_pair(
     labels: Sequence[str], split: tuple[Sequence[str], Sequence[str]]
-) -> tuple[tuple[str, ...], tuple[str, ...]]:
+) -> tuple[list[int], list[int]]:
+    """The ascending positions in labels of the two sides of split (each
+    read by _positions), which must partition them."""
     try:
         side_a, side_b = split
     except (TypeError, ValueError):  # not iterable, or not two sides
         raise ValueError("split must have exactly two sides (A, B)") from None
-    part_a = tuple(side_a) if not isinstance(side_a, str) else (side_a,)
-    part_b = tuple(side_b) if not isinstance(side_b, str) else (side_b,)
-    sa, sb = set(part_a), set(part_b)
-    if not part_a or not part_b:
-        raise ValueError("both sides of the split must be non-empty")
-    if len(sa) != len(part_a) or len(sb) != len(part_b):
-        raise ValueError("split sides must not repeat labels")
-    if sa & sb:
-        raise ValueError(f"split sides overlap on {sorted(sa & sb)}")
-    if sa | sb != set(labels) or len(sa) + len(sb) != len(labels):
+    pos_a, pos_b = _positions(labels, side_a), _positions(labels, side_b)
+    if sorted([*pos_a.values(), *pos_b.values()]) != list(range(len(labels))):
         raise ValueError(
-            f"split {part_a} | {part_b} does not partition factors {tuple(labels)}"
+            f"split {tuple(pos_a)} | {tuple(pos_b)} does not partition factors {tuple(labels)}"
         )
-    return part_a, part_b
+    return sorted(pos_a.values()), sorted(pos_b.values())
 
 
 def mutual_information(
@@ -178,12 +173,13 @@ def mutual_information(
     a cut of psi taken by _pure_entropies; otherwise the value is the
     one-matrix case of _density_mis.
     """
-    part_a, part_b = _split_pair(rho.labels, split)
+    pos_a, pos_b = _split_pair(rho.labels, split)
     psi = rho._pure
     if psi is not None:
-        s_a_plus_b = _pure_mis(psi.amplitudes[None], psi.tps, part_a, part_b, base)[0]
+        where = list(_positions(psi.labels, rho.labels).values())
+        s_a_plus_b = _pure_mis(psi.amplitudes[None], psi.tps, [where[i] for i in pos_a],
+                               [where[i] for i in pos_b], base)[0]
         return _nonnegative_mi(s_a_plus_b - von_neumann_entropy(rho, base), base)
-    pos_a, pos_b = _kept_positions(rho.labels, part_a)
     return _nonnegative_mi(_density_mis(rho.matrix[None], rho.dims, pos_b, pos_a, base)[0], base)
 
 
@@ -226,24 +222,26 @@ def pure_state_mutual_information(
     Avoids the full-dimension eigendecomposition that the generic density
     path would spend on a state known to be pure.
     """
-    part_a, part_b = _split_pair(psi.labels, split)
-    return _pure_mis(psi.amplitudes[None], psi.tps, part_a, part_b, base)[0]
+    pos_a, pos_b = _split_pair(psi.labels, split)
+    return _pure_mis(psi.amplitudes[None], psi.tps, pos_a, pos_b, base)[0]
 
 
-def _pure_mis(amps: np.ndarray, tps: TensorProductStructure, part_a: Sequence[str],
-              part_b: Sequence[str], base: float | None = None) -> list[float]:
+def _pure_mis(amps: np.ndarray, tps: TensorProductStructure, pos_a: Sequence[int],
+              pos_b: Sequence[int], base: float | None = None) -> list[float]:
     """pure_state_mutual_information of each state vector in the (k, D) stack
-    amps on tps, across a checked split; both sides share one work buffer."""
+    amps on tps, across a checked split given by the ascending positions of
+    its sides; both sides share one work buffer."""
     work = np.empty(2 * amps.size, dtype=complex)
-    s_a = _pure_entropies(amps, tps, part_a, base, work)
-    s_b = _pure_entropies(amps, tps, part_b, base, work)
+    s_a = _pure_entropies(amps, tps, pos_a, base, work)
+    s_b = _pure_entropies(amps, tps, pos_b, base, work)
     return [a + b for a, b in zip(s_a, s_b)]
 
 
-def _pure_entropies(amps: np.ndarray, tps: TensorProductStructure, keep: Sequence[str],
+def _pure_entropies(amps: np.ndarray, tps: TensorProductStructure, kept: Sequence[int],
                     base: float | None = None, work: np.ndarray | None = None) -> list[float]:
     """von_neumann_entropy(reduced_density(psi, keep)) of each state vector psi
-    in the (k, D) stack amps on tps: one contraction, check and eigensolve.
+    in the (k, D) stack amps on tps, where kept are the ascending positions
+    of keep: one contraction, check and eigensolve.
 
     The one pure-cut kernel. A kept side whose matrix is larger than one
     block (d^2 > _BLOCK_ELEMS, the threshold at which reduced_density keeps
@@ -252,10 +250,10 @@ def _pure_entropies(amps: np.ndarray, tps: TensorProductStructure, keep: Sequenc
     below 32, so it is always the smaller side. A side of at most one block
     is kept as named, so its bits are those of its own matrix.
     """
-    kept, dropped = _kept_positions(tps.labels, keep)
+    dropped = [i for i in range(len(tps.dims)) if i not in kept]
     if dropped and math.prod(tps.dims[i] for i in kept) ** 2 > _BLOCK_ELEMS:
-        keep = [tps.labels[i] for i in dropped]
-    return _matrix_entropies(_reduced_stack(amps, tps, keep, work)[0], base)
+        kept = dropped
+    return _matrix_entropies(_reduced_stack(amps, tps, kept, work)[0], base)
 
 
 def _density_mis(mats: np.ndarray, dims: Sequence[int], dropped_a: Sequence[int],
@@ -313,7 +311,6 @@ def check_mi_properties(
     rho: DensityMatrix,
     trials: int = 20,
     seed: int = 0,
-    atol: float = 1e-9,
 ) -> MiPropertyReport:
     """Stress the defining mutual-information properties on random bipartitions.
 
@@ -323,7 +320,8 @@ def check_mi_properties(
     monotonicity:  I(A:BC) >= I(A:B) for disjoint A, B, C, checked when rho
                    has at least 3 factors and reported as None otherwise
 
-    Reports the worst violation per property; ok means all stayed within atol.
+    Reports the worst violation per property; ok means all stayed within
+    the report's atol, 1e-9.
 
     Trials run in blocks: a block's splits are drawn first, in the order a
     trial-by-trial loop would draw them, then every entropy they need that
@@ -368,7 +366,7 @@ def check_mi_properties(
         symmetry=symmetry,
         monotonicity=monotonicity if three_way else None,
     )
-    return MiPropertyReport(trials=trials, seed=seed, checks=checks, atol=atol)
+    return MiPropertyReport(trials=trials, seed=seed, checks=checks, atol=1e-9)
 
 
 def _split_chains(a: frozenset[str], b: frozenset[str], *three: frozenset[str]) -> list:

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import math
+import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -387,15 +389,6 @@ class TestConfigFile:
         else:
             assert err == f"error: {cfg}: config file exceeds 65536 bytes\n"
 
-    @pytest.mark.skipif(not Path("/dev/zero").exists(), reason="needs /dev/zero")
-    def test_endless_file_is_a_config_error(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "entgeo", "run", "vanilla-bell", "--config", "/dev/zero"],
-            capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 2
-        assert "exceeds 65536 bytes" in proc.stderr
-        assert "Traceback" not in proc.stderr
-
 
 class TestUsageErrors:
     def test_no_arguments(self, capsys):
@@ -456,13 +449,66 @@ class TestOutputFile:
         assert code == 4
         assert "i/o error" in err
 
-    def test_closed_stdout_is_io_error(self):
-        # the child starts with file descriptor 1 closed, so sys.stdout is None
+
+def _closed(fd):
+    return lambda: os.close(fd)
+
+
+def _limited(kind, value):
+    return lambda: resource.setrlimit(kind, (value, value))
+
+
+# Each row runs `python -m entgeo` in a child that starts in one hostile
+# environment: (argv, the child's set-up, its exit code, its exact stderr or
+# None). {bad-config} is a non-UTF-8 config file and {dir} a directory. The
+# limits are the child's own, set in preexec_fn. A closed stdout makes
+# sys.stdout None; with stderr closed the error goes to stdout. No row opens
+# a FIFO, which would block without a writer.
+HOSTILE_ENVIRONMENTS = {
+    "closed stdin": (["run", "vanilla-bell"], {"preexec_fn": _closed(0)}, 0, ""),
+    "closed stdout": (["run", "vanilla-bell"], {"preexec_fn": _closed(1)}, 4,
+                      "i/o error: standard output is closed\n"),
+    "closed stderr": (["run", "nope"], {"preexec_fn": _closed(2)}, 2, None),
+    "stdout to /dev/full": (["run", "vanilla-bell"], {"stdout": "/dev/full"}, 4,
+                            "i/o error: [Errno 28] No space left on device\n"),
+    "--out /dev/full": (["run", "vanilla-bell", "--out", "/dev/full"], {}, 4,
+                        "i/o error: [Errno 28] No space left on device\n"),
+    "--config /dev/zero": (["run", "vanilla-bell", "--config", "/dev/zero"], {}, 2,
+                           "error: /dev/zero: config file exceeds 65536 bytes\n"),
+    "non-UTF-8 config": (["run", "vanilla-bell", "--config", "{bad-config}"], {}, 2, None),
+    "directory as --config": (["run", "vanilla-bell", "--config", "{dir}"], {}, 2, None),
+    "directory as --out": (["run", "vanilla-bell", "--out", "{dir}"], {}, 4, None),
+    "RLIMIT_AS, largest dense graph": (
+        ["run", "graph-reconstruct", "--state", "random", "--n-qubits", "14"],
+        {"preexec_fn": _limited(resource.RLIMIT_AS, 1 << 30)}, 0, ""),
+    "RLIMIT_AS, mode count over the cap": (
+        ["run", "momentum-sweep", "--n-modes", "1048577", "--steps", "4"],
+        {"preexec_fn": _limited(resource.RLIMIT_AS, 1 << 30)}, 2, None),
+    "RLIMIT_CPU": (["run", "property-suite", "--trials", "5"],
+                   {"preexec_fn": _limited(resource.RLIMIT_CPU, 30)}, 0, ""),
+}
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full and /dev/zero")
+@pytest.mark.parametrize("name", list(HOSTILE_ENVIRONMENTS))
+def test_hostile_environment_ends_in_a_documented_exit_code(tmp_path, name):
+    argv, child, code, stderr = HOSTILE_ENVIRONMENTS[name]
+    bad_config = tmp_path / "latin1.cfg"
+    bad_config.write_bytes(b"seed = 7 # \xe9\n")
+    argv = [arg.format_map({"bad-config": bad_config, "dir": tmp_path}) for arg in argv]
+    with contextlib.ExitStack() as stack:
+        stdout = child.get("stdout")
         proc = subprocess.run(
-            ["sh", "-c", 'exec "$0" -m entgeo run vanilla-bell >&-', sys.executable],
-            stderr=subprocess.PIPE, text=True, timeout=60)
-        assert proc.returncode == 4
-        assert proc.stderr == "i/o error: standard output is closed\n"
+            [sys.executable, "-m", "entgeo", *argv], stdin=subprocess.DEVNULL,
+            stdout=stack.enter_context(open(stdout, "w")) if stdout else subprocess.PIPE,
+            stderr=subprocess.PIPE, preexec_fn=child.get("preexec_fn"), text=True, timeout=60,
+            # one BLAS thread, so the address-space limit does not depend on the core count
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode in (0, 2, 3, 4)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr + (proc.stdout or "")
+    if stderr is not None:
+        assert proc.stderr == stderr
 
 
 @pytest.mark.parametrize("argv,code", [

@@ -4,10 +4,15 @@ Each check compares as `not err <= tol`, because NaN compares false both
 ways: written as `err > tol`, a NaN error would pass. A huge finite entry
 must not escape as the OverflowError of a Python float power. The
 messages print plain Python numbers, never numpy's scalar reprs.
+
+An argument of the wrong kind (a label argument, a factor tuple, a 1-d
+array) fails with ValueError or KeyError and one exact message, and valid
+calls next to it keep their bits.
 """
 
 import math
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,12 +23,25 @@ from entgeo.channels import (
     DecoherenceSchedule,
     LocalPerturbation,
     NonLocalPerturbation,
+    apply_local,
+    apply_nonlocal,
     dephase_modes,
     haar_random_state,
     haar_random_unitary,
     localize_modes,
 )
-from entgeo.hilbert import DensityMatrix, FactorSpace, PureState, SchmidtPairState, _Fresh, qubits
+from entgeo.hilbert import (
+    DensityMatrix,
+    FactorSpace,
+    PureState,
+    SchmidtPairState,
+    TensorProductStructure,
+    _Fresh,
+    density_of,
+    partial_trace,
+    qubits,
+    reduced_density,
+)
 from entgeo.infotheory import (
     check_mi_properties,
     correlation_lower_bound,
@@ -201,3 +219,140 @@ def test_good_log_base_gives_a_value(name):
     # so the ValueError above comes from the base alone
     for base in (None, 2, 10.0):
         BASE_TAKERS[name](base)
+
+
+# factors A, B and AB: a str names one factor, so "AB" is never A and B
+A_B_AB = TensorProductStructure((FactorSpace("A", 2), FactorSpace("B", 2), FactorSpace("AB", 2)))
+PSI3 = haar_random_state(A_B_AB, 5)
+RHO3 = density_of(PSI3)
+U2 = haar_random_unitary(2, 6)
+U4 = haar_random_unitary(4, 7)
+ENV = (FactorSpace("E", 2),)
+SPLIT3 = (("A",), ("B", "AB"))
+
+# each public entry that reads a label argument: the call with `side` as
+# that argument, a valid neighbour, and the float.hex it returned before
+# labels were read by one rule
+LABEL_TAKERS = {
+    "partial_trace keep": (
+        lambda side: partial_trace(RHO3, side),
+        lambda: partial_trace(RHO3, ("AB", "A")).matrix[1, 2].imag, "0x1.2b514db02b489p-4"),
+    "reduced_density keep": (
+        lambda side: reduced_density(PSI3, side),
+        lambda: reduced_density(PSI3, ("B",)).matrix[0, 1].real, "-0x1.71902d6dd9265p-2"),
+    "mutual_information side": (
+        lambda side: mutual_information(RHO3, (side, ("A", "B"))),
+        lambda: mutual_information(RHO3, (("AB",), ("A", "B"))), "0x1.e6c4d94f9095fp-1"),
+    "pure_state_mutual_information side": (
+        lambda side: pure_state_mutual_information(PSI3, (("A", "B"), side)),
+        lambda: pure_state_mutual_information(PSI3, (("A", "B"), ("AB",))),
+        "0x1.e6c4d94f90964p-1"),
+    "apply_local target": (
+        lambda side: apply_local(PSI3, LocalPerturbation(U2, side), SPLIT3)[1],
+        lambda: apply_local(PSI3, LocalPerturbation(U4, ("AB", "A")), SPLIT3)[1],
+        "-0x1.92c62104ae710p-3"),
+    "apply_local side": (
+        lambda side: apply_local(PSI3, LocalPerturbation(U2, ("A",)), (side, ("A", "B")))[1],
+        lambda: apply_local(PSI3, LocalPerturbation(U4, ("AB", "A")), SPLIT3)[1],
+        "-0x1.92c62104ae710p-3"),
+    "apply_nonlocal target": (
+        lambda side: apply_nonlocal(
+            PSI3, NonLocalPerturbation(U4, side, ENV, [1.0, 0.0]), SPLIT3)[1],
+        lambda: apply_nonlocal(PSI3, NonLocalPerturbation(U4, ("A",), ENV, [1.0, 0.0]), SPLIT3)[1],
+        "-0x1.1732fc6a59f40p-1"),
+    "apply_nonlocal side": (
+        lambda side: apply_nonlocal(PSI3, NonLocalPerturbation(U4, ("A",), ENV, [1.0, 0.0]),
+                                    (side, ("A", "B")))[1],
+        lambda: apply_nonlocal(PSI3, NonLocalPerturbation(U4, ("A",), ENV, [1.0, 0.0]), SPLIT3)[1],
+        "-0x1.1732fc6a59f40p-1"),
+}
+
+SIDE_RULE = "labels must be a str or a non-empty collection of distinct strs, got "
+
+# each: a label argument of the wrong kind, and what every taker raises for it
+HOSTILE_SIDES = {
+    "multi-character str": ("BA", KeyError, "unknown factor labels ['BA']"),
+    "unknown": (("Z", "A"), KeyError, "unknown factor labels ['Z']"),
+    "repeated": (("A", "A"), ValueError, SIDE_RULE + "('A', 'A')"),
+    "empty": ((), ValueError, SIDE_RULE + "()"),
+    "non-str": (("A", 1), ValueError, SIDE_RULE + "('A', 1)"),
+    "unhashable": ([["A"]], ValueError, SIDE_RULE + "[['A']]"),
+    "not iterable": (5, ValueError, SIDE_RULE + "5"),
+}
+
+RHO2 = np.outer(BELL, BELL.conj())
+SCHMIDT3 = (lambda: mutual_information_schmidt(SchmidtPairState(3, [0.6, 0.0, 0.8j])),
+            "0x1.4e8cd46280282p+0")
+BELL_MI = (lambda: mutual_information(DensityMatrix(AB.factors, RHO2), (("A",), ("B",))),
+           "0x1.62e42fefa39efp+0")
+PURE3 = (lambda: von_neumann_entropy(reduced_density(PSI3, ("A", "AB"))), "0x1.4958ff9682f8cp-2")
+
+# each: a call with a factor tuple or an array of the wrong kind, what it
+# raises, and a valid neighbour with its float.hex from before the check
+SHAPE_ARGUMENTS = {
+    "DensityMatrix TensorProductStructure factors": (
+        lambda: DensityMatrix(AB, RHO2), ValueError,
+        "factors must be FactorSpace items, got TensorProductStructure", *BELL_MI),
+    "DensityMatrix str factors": (
+        lambda: DensityMatrix("AB", RHO2), ValueError,
+        "factors must be FactorSpace items, got str", *BELL_MI),
+    "TensorProductStructure int factor": (
+        lambda: TensorProductStructure((FactorSpace("A", 2), 2)), ValueError,
+        "factors must be FactorSpace items, got int", *PURE3),
+    "env_factors TensorProductStructure": (
+        lambda: NonLocalPerturbation(U4, ("A",), qubits(("E",)), [1.0, 0.0]), ValueError,
+        "factors must be FactorSpace items, got TensorProductStructure",
+        *LABEL_TAKERS["apply_nonlocal target"][1:]),
+    "PureState 2-d amplitudes": (
+        lambda: PureState(AB, BELL.reshape(2, 2)), ValueError,
+        "amplitudes must be a 1-d array of length 4, got shape (2, 2)", *PURE3),
+    "PureState 0-d amplitudes": (
+        lambda: PureState(qubits(("A",)), 1.0), ValueError,
+        "amplitudes must be a 1-d array of length 2, got shape ()", *PURE3),
+    "env_state 2-d": (
+        lambda: NonLocalPerturbation(U4, ("A",), ENV, [[1.0, 0.0]]), ValueError,
+        "amplitudes must be a 1-d array of length 2, got shape (1, 2)",
+        *LABEL_TAKERS["apply_nonlocal target"][1:]),
+    "SchmidtPairState 2-d weights": (
+        lambda: SchmidtPairState(4, np.full((2, 2), 0.5)), ValueError,
+        "weights must be a 1-d array of length 4, got shape (2, 2)", *SCHMIDT3),
+    "SchmidtPairState 0-d weights": (
+        lambda: SchmidtPairState(1, 1.0), ValueError,
+        "weights must be a 1-d array of length 1, got shape ()", *SCHMIDT3),
+    "from_weights 2-d": (
+        lambda: SchmidtPairState.from_weights(np.full((2, 2), 0.5)), ValueError,
+        "weights must be a 1-d array of length 4, got shape (2, 2)", *SCHMIDT3),
+    "from_weights 0-d": (
+        lambda: SchmidtPairState.from_weights(1.0), ValueError,
+        "weights must be a 1-d array of length 1, got shape ()", *SCHMIDT3),
+}
+
+ARGUMENT_CONTRACT = {
+    **{f"{taker}, {kind}": (partial(call, side), error, message, good, bits)
+       for taker, (call, good, bits) in LABEL_TAKERS.items()
+       for kind, (side, error, message) in HOSTILE_SIDES.items()},
+    **SHAPE_ARGUMENTS,
+}
+
+
+@pytest.mark.parametrize("name", list(ARGUMENT_CONTRACT))
+def test_wrong_argument_raises_its_documented_error(name):
+    # only ValueError or KeyError, with one message for each kind of fault
+    bad, error, message, good, bits = ARGUMENT_CONTRACT[name]
+    with pytest.raises((ValueError, KeyError)) as info:
+        bad()
+    assert (info.type, info.value.args) == (error, (message,))
+    assert float(good()).hex() == bits
+
+
+@pytest.mark.parametrize("taker", list(LABEL_TAKERS))
+def test_a_str_names_one_factor(taker):
+    # "AB" is the factor AB for every taker, with the bits of ("AB",), and a
+    # perturbation keeps it as its one target label
+    call = LABEL_TAKERS[taker][0]
+    as_str, as_tuple = call("AB"), call(("AB",))
+    if isinstance(as_str, DensityMatrix):
+        assert as_str.labels == ("AB",)
+        as_str, as_tuple = as_str.matrix, as_tuple.matrix
+    assert np.asarray(as_str).tobytes() == np.asarray(as_tuple).tobytes()
+    assert LocalPerturbation(U2, "AB").labels == ("AB",)
